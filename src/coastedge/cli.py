@@ -144,20 +144,26 @@ def _metric_params(args) -> MetricParams:
     )
 
 
+def _read_band(path, band_name: BandName) -> Band:
+    """One band of an HxWx12 image stack; the rest of the stack is not kept."""
+    image = read_npy(path)
+    if image.ndim != 3 or image.shape[2] != 12:
+        raise CliError(f"{path}: expected an HxWx12 image stack, got shape {image.shape}")
+    index = BandName.canonical_order().index(band_name)
+    return Band(name=band_name, samples=image[:, :, index].astype(np.float64))
+
+
 def cmd_detect(args) -> int:
     try:
         band_name = BandName.from_string(args.band)
     except ValueError as exc:
         raise CliError(str(exc))
 
-    image = read_npy(args.input)
-    if image.ndim != 3 or image.shape[2] != 12:
-        raise CliError(f"{args.input}: expected an HxWx12 image stack, got shape {image.shape}")
-    index = BandName.canonical_order().index(band_name)
-    band = Band(name=band_name, samples=image[:, :, index].astype(np.float64))
-
-    processed = run_pipeline(band, _preprocess_spec(args))
+    # the image stack and the preprocessed band are freed before scoring,
+    # which is the memory peak of this call
+    processed = run_pipeline(_read_band(args.input, band_name), _preprocess_spec(args))
     edges = detect(processed, args.algorithm, _canny_params(args))
+    del processed
 
     if args.format == "pgm":
         write_pgm(edges, args.out)

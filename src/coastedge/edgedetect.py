@@ -1,7 +1,9 @@
 """Edge detection: Canny plus the Sobel, Scharr and Prewitt gradient operators.
 
-All four share one correlation-convention 2D convolution core with
-edge-replicated borders.
+All four correlate with 3x3 kernels over edge-replicated borders. Canny's
+input is a blurred float image, so it keeps its own convolution core,
+whose sum order its results depend on; the three operators only ever see
+integer-valued bands, on which scipy.ndimage's correlation is exact.
 """
 
 from __future__ import annotations
@@ -91,6 +93,18 @@ def gradient_field(band: Band, kernels: GradientKernelPair) -> GradientField:
     return GradientField(magnitude=np.hypot(gx, gy), direction=np.arctan2(gy, gx))
 
 
+def gradient_magnitude(band: Band, kernels: GradientKernelPair) -> np.ndarray:
+    """Gradient magnitude only, edge-replicated borders.
+
+    On integer-valued samples (every scaled8 band) each response is an
+    exact integer whatever the sum order, so this equals
+    gradient_field(band, kernels).magnitude bit for bit.
+    """
+    gx = ndimage.correlate(band.samples, kernels.gx, mode="nearest")
+    gy = ndimage.correlate(band.samples, kernels.gy, mode="nearest")
+    return np.hypot(gx, gy)
+
+
 def _normalize_magnitude(magnitude: np.ndarray) -> np.ndarray:
     """Min-max map to the 0..255 float scale; all-constant fields map to 0."""
     lo, hi = magnitude.min(), magnitude.max()
@@ -99,9 +113,9 @@ def _normalize_magnitude(magnitude: np.ndarray) -> np.ndarray:
     return (magnitude - lo) / (hi - lo) * 255.0
 
 
-def magnitude_to_edgemap(field: GradientField) -> EdgeMap:
+def magnitude_to_edgemap(magnitude: np.ndarray) -> EdgeMap:
     """Quantize the normalized gradient magnitude to an 8-bit map."""
-    normalized = round_half_up(_normalize_magnitude(field.magnitude))
+    normalized = round_half_up(_normalize_magnitude(magnitude))
     return EdgeMap(values=normalized.astype(np.uint8), kind="magnitude")
 
 
@@ -183,5 +197,5 @@ def detect(band: Band, algorithm: str, params: CannyParams = CannyParams()) -> E
     if algorithm == "canny":
         return canny(band, params)
     if algorithm in KERNELS:
-        return magnitude_to_edgemap(gradient_field(band, KERNELS[algorithm]))
+        return magnitude_to_edgemap(gradient_magnitude(band, KERNELS[algorithm]))
     raise ParamError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

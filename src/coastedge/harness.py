@@ -20,8 +20,15 @@ import numpy as np
 
 from . import __version__
 from .edgedetect import ALGORITHMS, CannyParams, canny, detect
-from .errors import CorpusError, EmptyGroupError, IoError, ParamError
-from .metrics import METRIC_NAMES, MetricParams, MetricRecord, aggregate, compute_all
+from .errors import CoastEdgeError, CorpusError, EmptyGroupError, IoError, ParamError
+from .metrics import (
+    METRIC_NAMES,
+    MetricParams,
+    MetricRecord,
+    PreparedReference,
+    aggregate,
+    compute_all,
+)
 from .preprocess import PreprocessSpec, run_pipeline
 from .raster import Band, BandName, EdgeMap, LabelMask, Scene, load_manifest, load_scene, write_pgm
 
@@ -115,6 +122,23 @@ def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()
     return canny(band, params)
 
 
+# Faults of a cell's data or parameters. Anything else is a bug in the
+# toolkit: it propagates instead of becoming an error record.
+CELL_ERRORS = (CoastEdgeError, ArithmeticError, ValueError)
+
+
+def _error_record(
+    image_id: str, band_name: BandName, algorithm: str, variant: PreprocessSpec, exc: Exception
+) -> MetricRecord:
+    return MetricRecord(
+        image_id=image_id,
+        band_name=band_name.value,
+        algorithm=algorithm,
+        preprocess_tag=variant.tag,
+        error=f"{type(exc).__name__}: {exc}",
+    )
+
+
 def run_cell(
     scene: Scene,
     band_name: BandName,
@@ -122,44 +146,50 @@ def run_cell(
     preprocess_spec: PreprocessSpec,
     canny_params: CannyParams = CannyParams(),
     metric_params: MetricParams = MetricParams(),
-    reference: EdgeMap | None = None,
+    reference: EdgeMap | PreparedReference | None = None,
+    processed: Band | None = None,
 ) -> MetricRecord:
-    """Preprocess one band, detect edges, score against the reference.
+    """Detect edges on one band and score them against the reference.
 
-    Failures never propagate; they come back as records with the error
-    field set so one bad cell cannot abort a corpus run.
+    `processed` is the band already run through `preprocess_spec`, and
+    `reference` the scene's reference edges, plain or prepared for
+    `metric_params`; either is computed here when not given. A data or
+    parameter fault comes back as a record with the error field set, so
+    one bad cell cannot abort a corpus run.
     """
-    ident = {
-        "image_id": scene.id,
-        "band_name": band_name.value,
-        "algorithm": algorithm,
-        "preprocess_tag": preprocess_spec.tag,
-    }
     try:
         if reference is None:
             reference = derive_reference(scene.label, canny_params)
-        band = run_pipeline(scene.bands[band_name], preprocess_spec)
-        edges = detect(band, algorithm, canny_params)
+        if processed is None:
+            processed = run_pipeline(scene.bands[band_name], preprocess_spec)
+        edges = detect(processed, algorithm, canny_params)
         values = compute_all(edges, reference, metric_params)
-        return MetricRecord(**ident, **values)
-    except Exception as exc:  # per-cell fault isolation
-        return MetricRecord(**ident, error=f"{type(exc).__name__}: {exc}")
+    except CELL_ERRORS as exc:
+        return _error_record(scene.id, band_name, algorithm, preprocess_spec, exc)
+    return MetricRecord(
+        image_id=scene.id,
+        band_name=band_name.value,
+        algorithm=algorithm,
+        preprocess_tag=preprocess_spec.tag,
+        **values,
+    )
 
 
 def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
-    """All grid cells for one corpus image (the parallel work unit)."""
+    """All grid cells for one corpus image (the parallel work unit).
+
+    The scene is loaded and its reference derived and prepared once; each
+    band is preprocessed once per variant, and every algorithm's cell
+    reuses that band and the prepared reference.
+    """
     try:
         scene = load_scene(entry)
-        reference = derive_reference(scene.label, spec.canny_params)
-    except Exception as exc:
+        reference = PreparedReference(
+            derive_reference(scene.label, spec.canny_params), spec.metric_params
+        )
+    except CELL_ERRORS as exc:
         return [
-            MetricRecord(
-                image_id=entry["id"],
-                band_name=band.value,
-                algorithm=algorithm,
-                preprocess_tag=variant.tag,
-                error=f"{type(exc).__name__}: {exc}",
-            )
+            _error_record(entry["id"], band, algorithm, variant, exc)
             for band in BandName.canonical_order()
             for algorithm in spec.algorithms
             for variant in spec.preprocess_variants
@@ -168,6 +198,11 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
     records = []
     for band in BandName.canonical_order():
         for variant in spec.preprocess_variants:
+            try:
+                processed = run_pipeline(scene.bands[band], variant)
+            except CELL_ERRORS as exc:
+                records += [_error_record(scene.id, band, a, variant, exc) for a in spec.algorithms]
+                continue
             for algorithm in spec.algorithms:
                 records.append(
                     run_cell(
@@ -178,6 +213,7 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
                         spec.canny_params,
                         spec.metric_params,
                         reference,
+                        processed,
                     )
                 )
     return records
@@ -200,16 +236,23 @@ def _record_sort_key(spec: ExperimentSpec):
 
 
 def corpus_hash(manifest_path) -> str:
-    """Content hash of the manifest plus sizes of every referenced file."""
+    """SHA-256 over the manifest's bytes and those of every file it references.
+
+    Each file is preceded by its entry id, key and size; a file that cannot
+    be read counts with size -1 and no bytes.
+    """
     manifest_path = Path(manifest_path)
     digest = hashlib.sha256(manifest_path.read_bytes())
     for entry in load_manifest(manifest_path):
         for key in ("image", "label"):
             try:
-                size = os.path.getsize(entry[key])
+                with open(entry[key], "rb") as fh:
+                    size = os.fstat(fh.fileno()).st_size
+                    digest.update(f"{entry['id']}:{key}:{size}".encode())
+                    for chunk in iter(lambda: fh.read(1 << 20), b""):
+                        digest.update(chunk)
             except OSError:
-                size = -1
-            digest.update(f"{entry['id']}:{key}:{size}".encode())
+                digest.update(f"{entry['id']}:{key}:-1".encode())
     return digest.hexdigest()
 
 

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyGroupError, ShapeError, WindowError
+from .errors import EmptyGroupError, ParamError, ShapeError, WindowError
 from .preprocess import gaussian_kernel_1d
 from .raster import EdgeMap
 
@@ -50,7 +51,7 @@ class AggregateCell:
 
 
 def _as_float(img) -> np.ndarray:
-    if isinstance(img, EdgeMap):
+    if isinstance(img, (EdgeMap, PreparedReference)):
         img = img.values
     return np.asarray(img, dtype=np.float64)
 
@@ -62,18 +63,24 @@ def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.sqrt(np.mean((a - b) ** 2)))
+
+
+def _psnr(err: float) -> float:
+    if err == 0.0:
+        return math.inf
+    return 20.0 * math.log10(255.0 / err)
+
+
 def rmse(a, b) -> float:
     """Root mean square pixel error on the 0..255 scale."""
-    a, b = _check_pair(a, b)
-    return float(np.sqrt(np.mean((a - b) ** 2)))
+    return _rmse(*_check_pair(a, b))
 
 
 def psnr(a, b) -> float:
     """Peak signal-to-noise ratio in dB; +inf for identical images."""
-    err = rmse(a, b)
-    if err == 0.0:
-        return math.inf
-    return 20.0 * math.log10(255.0 / err)
+    return _psnr(rmse(a, b))
 
 
 def _windowed_sums_valid(image: np.ndarray, kernel_1d: np.ndarray) -> np.ndarray:
@@ -84,30 +91,124 @@ def _windowed_sums_valid(image: np.ndarray, kernel_1d: np.ndarray) -> np.ndarray
     return np.einsum("ijk,k->ij", rows, kernel_1d)
 
 
-def ssim(a, b, params: MetricParams = MetricParams()) -> float:
-    """Mean structural similarity with a Gaussian-weighted sliding window.
+def _check_window(shape: tuple, window: int, metric: str) -> None:
+    if min(shape) < window:
+        raise WindowError(f"image {shape} smaller than {metric} window {window}")
 
-    Windows lie fully inside the image (no padding); stabilizers use the
-    standard K1=0.01, K2=0.03 on the 255 dynamic range.
+
+@dataclass(frozen=True, eq=False)
+class PreparedReference:
+    """A reference image with its window statistics, computed once for many candidates.
+
+    Each metric's statistics are computed on first use and then kept, so
+    scoring every edge map of a scene against one PreparedReference does
+    the reference-only work once. A reference scored by one metric only
+    never needs the other metric's window to fit.
     """
-    a, b = _check_pair(a, b)
-    win = params.ssim_window
-    if min(a.shape) < win:
-        raise WindowError(f"image {a.shape} smaller than SSIM window {win}")
-    weights = gaussian_kernel_1d(win, params.ssim_sigma)
 
+    values: np.ndarray  # 2D float64
+    params: MetricParams = MetricParams()
+
+    def __post_init__(self):
+        object.__setattr__(self, "values", _as_float(self.values))
+
+    @cached_property
+    def ssim_stats(self) -> tuple:
+        """Gaussian window weights, then mu_b, mu_b**2 and var_b per SSIM window."""
+        b, win = self.values, self.params.ssim_window
+        _check_window(b.shape, win, "SSIM")
+        weights = gaussian_kernel_1d(win, self.params.ssim_sigma)
+        mu = _windowed_sums_valid(b, weights)
+        mu_sq = mu**2
+        return weights, mu, mu_sq, _windowed_sums_valid(b * b, weights) - mu_sq
+
+    @cached_property
+    def uqi_stats(self) -> tuple:
+        """Per UQI window: sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2."""
+        b, win = self.values, self.params.uqi_window
+        _check_window(b.shape, win, "UQI")
+        n = win * win
+        total, total_sq = _box_sums(b, win), _box_sums(b * b, win)
+        mu = total / n
+        mu_sq = mu**2
+        return total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total
+
+
+def _box_sums(image: np.ndarray, window: int) -> np.ndarray:
+    """Unweighted window sums, windows fully inside the image.
+
+    For integer-valued images (every edge map) each partial sum is an
+    integer below 2**53, so the result is exact in float64 whatever the
+    sum order.
+    """
+    ones = np.ones(window)
+    view = np.lib.stride_tricks.sliding_window_view
+    cols = np.einsum("ijk,k->ij", view(image, window, axis=1), ones)
+    return np.einsum("ijk,k->ij", view(cols, window, axis=0), ones)
+
+
+def _prepared_pair(a, b, params: MetricParams) -> tuple[np.ndarray, PreparedReference]:
+    """The candidate as float64 and the reference prepared for `params`."""
+    if not isinstance(b, PreparedReference):
+        a, b = _check_pair(a, b)
+        return a, PreparedReference(b, params)
+    if b.params != params:
+        raise ParamError(f"reference prepared for {b.params}, scored with {params}")
+    a, _ = _check_pair(a, b)
+    return a, b
+
+
+def _ssim(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) -> float:
+    weights, mu_b, mu_b_sq, var_b = ref.ssim_stats
     mu_a = _windowed_sums_valid(a, weights)
-    mu_b = _windowed_sums_valid(b, weights)
-    var_a = _windowed_sums_valid(a * a, weights) - mu_a**2
-    var_b = _windowed_sums_valid(b * b, weights) - mu_b**2
-    cov = _windowed_sums_valid(a * b, weights) - mu_a * mu_b
+    mu_a_sq = mu_a**2
+    var_a = _windowed_sums_valid(aa, weights) - mu_a_sq
+    cov = _windowed_sums_valid(ab, weights) - mu_a * mu_b
 
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
     index = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
-        (mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2)
+        (mu_a_sq + mu_b_sq + c1) * (var_a + var_b + c2)
     )
     return float(index.mean())
+
+
+def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) -> float:
+    total_b, mu_b, mu_b_sq, var_b, spread_b = ref.uqi_stats
+    win = ref.params.uqi_window
+    n = win * win
+    total_a, total_aa = _box_sums(a, win), _box_sums(aa, win)
+
+    # Decided on the unweighted sums, which are exact for integer-valued
+    # images: both windows are flat iff n*sum(a*a) - sum(a)**2 and its b
+    # counterpart are 0, and their means are equal iff the sums are.
+    degenerate = (n * total_aa - total_a * total_a) + spread_b <= 0
+    skip = degenerate & (total_a == total_b)
+    contributing = ~skip
+    if not contributing.any():
+        return 0.0
+
+    mu_a = total_a / n
+    mu_a_sq = mu_a**2
+    var_a = total_aa / n - mu_a_sq
+    # freed before the q temporaries are made, the memory peak of scoring
+    del total_a, total_aa
+    cov = _box_sums(ab, win) / n - mu_a * mu_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
+    q = np.where(degenerate, 0.0, q)
+    return float(q[contributing].mean())
+
+
+def ssim(a, b, params: MetricParams = MetricParams()) -> float:
+    """Mean structural similarity with a Gaussian-weighted sliding window.
+
+    Windows lie fully inside the image (no padding); stabilizers use the
+    standard K1=0.01, K2=0.03 on the 255 dynamic range. `b` may be a
+    PreparedReference for `params`.
+    """
+    a, ref = _prepared_pair(a, b, params)
+    return _ssim(a, a * a, a * ref.values, ref)
 
 
 def uqi(a, b, params: MetricParams = MetricParams()) -> float:
@@ -115,45 +216,26 @@ def uqi(a, b, params: MetricParams = MetricParams()) -> float:
 
     Fully degenerate windows (zero variance and zero means) are skipped;
     zero-variance windows with differing means contribute 0. Identical flat
-    windows carry no information and are skipped as well.
+    windows carry no information and are skipped as well. `b` may be a
+    PreparedReference for `params`.
     """
-    a, b = _check_pair(a, b)
-    win = params.uqi_window
-    if min(a.shape) < win:
-        raise WindowError(f"image {a.shape} smaller than UQI window {win}")
-    kernel = np.full(win, 1.0 / win)
-
-    mu_a = _windowed_sums_valid(a, kernel)
-    mu_b = _windowed_sums_valid(b, kernel)
-    var_a = _windowed_sums_valid(a * a, kernel) - mu_a**2
-    var_b = _windowed_sums_valid(b * b, kernel) - mu_b**2
-    cov = _windowed_sums_valid(a * b, kernel) - mu_a * mu_b
-
-    var_sum = var_a + var_b
-    mean_sum = mu_a**2 + mu_b**2
-    degenerate = var_sum <= 0.0
-    skip = degenerate & ((mean_sum == 0.0) | (mu_a == mu_b))
-    zero_q = degenerate & ~skip
-
-    contributing = ~skip
-    if not contributing.any():
-        return 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = (4.0 * cov * mu_a * mu_b) / (var_sum * mean_sum)
-    q = np.where(zero_q, 0.0, q)
-    return float(q[contributing].mean())
+    a, ref = _prepared_pair(a, b, params)
+    return _uqi(a, a * a, a * ref.values, ref)
 
 
 METRIC_NAMES = ("rmse", "psnr", "ssim", "uqi")
 
 
 def compute_all(a, b, params: MetricParams = MetricParams()) -> dict:
-    """All four metrics for one image pair."""
+    """All four metrics for one image pair; `b` may be a PreparedReference for `params`."""
+    a, ref = _prepared_pair(a, b, params)
+    err = _rmse(a, ref.values)
+    aa, ab = a * a, a * ref.values
     return {
-        "rmse": rmse(a, b),
-        "psnr": psnr(a, b),
-        "ssim": ssim(a, b, params),
-        "uqi": uqi(a, b, params),
+        "rmse": err,
+        "psnr": _psnr(err),
+        "ssim": _ssim(a, aa, ab, ref),
+        "uqi": _uqi(a, aa, ab, ref),
     }
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from .errors import KernelTooLarge, ParamError
 from .raster import Band
@@ -110,21 +111,14 @@ def gaussian_blur(band: Band, kernel_size: int = 5, sigma: float = 1.0) -> Band:
     return Band(name=band.name, samples=out, value_kind="scaled8")
 
 
-def _window_extreme(image: np.ndarray, size: int, mode: str) -> np.ndarray:
-    half = size // 2
-    padded = np.pad(image, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (size, size))
-    if mode == "max":
-        return windows.max(axis=(2, 3))
-    return windows.min(axis=(2, 3))
-
-
 def morphological_closing(band: Band, element_size: int = 3) -> Band:
-    """Grayscale closing: window max (dilation) then window min (erosion)."""
+    """Grayscale closing: window max (dilation) then window min (erosion).
+
+    Square element, edge-replicated borders.
+    """
     if element_size < 3 or element_size % 2 == 0:
         raise ParamError("closing element must be odd and >= 3")
-    dilated = _window_extreme(band.samples, element_size, "max")
-    closed = _window_extreme(dilated, element_size, "min")
+    closed = ndimage.grey_closing(band.samples, size=element_size, mode="nearest")
     return Band(name=band.name, samples=closed, value_kind="scaled8")
 
 

@@ -29,6 +29,27 @@ def convolve2d_loops(image, kernel):
     return out
 
 
+def closing_loops(image, size):
+    """Grayscale closing from the definition: window max, then window min, edge-clamped."""
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    half = size // 2
+
+    def window_extreme(src, pick):
+        out = np.zeros((h, w))
+        for r in range(h):
+            for c in range(w):
+                values = [
+                    src[min(max(r + i, 0), h - 1), min(max(c + j, 0), w - 1)]
+                    for i in range(-half, half + 1)
+                    for j in range(-half, half + 1)
+                ]
+                out[r, c] = pick(values)
+        return out
+
+    return window_extreme(window_extreme(image, max), min)
+
+
 def rmse_direct(a, b):
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

@@ -14,6 +14,7 @@ from coastedge.edgedetect import (
     convolve2d,
     detect,
     gradient_field,
+    gradient_magnitude,
     magnitude_to_edgemap,
 )
 from coastedge.errors import KernelTooLarge, ParamError
@@ -118,10 +119,21 @@ class TestGradientField:
         np.testing.assert_allclose(responses["prewitt"], 6.0)
 
 
+class TestGradientMagnitude:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_equals_gradient_field_on_integer_bands(self, rng, name):
+        for size in (3, 7, 24):
+            band = band_of(rng.integers(0, 256, size=(size, size + 1)))
+            np.testing.assert_array_equal(
+                gradient_magnitude(band, KERNELS[name]),
+                gradient_field(band, KERNELS[name]).magnitude,
+            )
+
+
 class TestMagnitudeToEdgemap:
     def test_zero_field(self):
         band = band_of(np.full((8, 8), 9.0))
-        edge = magnitude_to_edgemap(gradient_field(band, SOBEL))
+        edge = magnitude_to_edgemap(gradient_field(band, SOBEL).magnitude)
         assert (edge.values == 0).all()
         assert edge.kind == "magnitude"
 
@@ -129,7 +141,7 @@ class TestMagnitudeToEdgemap:
         image = rng.integers(0, 200, size=(10, 10)).astype(float)
         image[4, 4] = 30000.0  # dominant spike
         field = gradient_field(band_of(image), SOBEL)
-        edge = magnitude_to_edgemap(field)
+        edge = magnitude_to_edgemap(field.magnitude)
         assert edge.values.max() == 255
         assert edge.values[np.unravel_index(field.magnitude.argmax(), image.shape)] == 255
 
@@ -187,7 +199,7 @@ class TestCanny:
 class TestDetect:
     def test_sobel_dispatch_equals_manual(self, rng):
         band = band_of(rng.integers(0, 256, size=(12, 12)))
-        manual = magnitude_to_edgemap(gradient_field(band, SOBEL))
+        manual = magnitude_to_edgemap(gradient_field(band, SOBEL).magnitude)
         np.testing.assert_array_equal(detect(band, "sobel").values, manual.values)
 
     def test_kinds(self):

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from coastedge import harness
 from coastedge.edgedetect import CannyParams
 from coastedge.errors import ParamError
 from coastedge.harness import (
@@ -24,7 +25,8 @@ from coastedge.harness import (
     run_experiment,
     write_records_csv,
 )
-from coastedge.preprocess import PreprocessSpec
+from coastedge.metrics import MetricParams, PreparedReference
+from coastedge.preprocess import PreprocessSpec, run_pipeline
 from coastedge.raster import Band, BandName, LabelMask
 from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 
@@ -75,11 +77,39 @@ class TestRunCell:
         assert record.error == ""
         assert record.rmse == 0.0 and record.psnr == math.inf
 
+    def test_preprocessed_band_and_prepared_reference(self, noisy_scene):
+        band = run_pipeline(noisy_scene.bands[BandName.NIR], PreprocessSpec())
+        reference = PreparedReference(derive_reference(noisy_scene.label), MetricParams())
+        for algorithm in ("canny", "sobel"):
+            plain = run_cell(noisy_scene, BandName.NIR, algorithm, PreprocessSpec())
+            shared = run_cell(
+                noisy_scene, BandName.NIR, algorithm, PreprocessSpec(),
+                reference=reference, processed=band,
+            )
+            assert shared == plain
+
     def test_failure_is_isolated(self, noisy_scene):
         bad_params = CannyParams(smooth_kernel_size=101)  # larger than the scene
         record = run_cell(noisy_scene, BandName.NIR, "canny", PreprocessSpec(), bad_params)
         assert record.error != ""
         assert math.isnan(record.rmse)
+
+
+class TestFaultIsolation:
+    def test_toolkit_bug_propagates(self, small_corpus, monkeypatch):
+        def broken_detect(band, algorithm, params):
+            raise TypeError("a bug, not a data fault")
+
+        monkeypatch.setattr(harness, "detect", broken_detect)
+        with pytest.raises(TypeError, match="a bug"):
+            run_experiment(small_corpus, ExperimentSpec.for_kind("table1"))
+
+    def test_preprocess_fault_gives_one_record_per_algorithm(self, tmp_path):
+        manifest = generate_corpus(1, SynthSpec(size=24, seed=3, noise_sigma=100), tmp_path)
+        spec = ExperimentSpec.for_kind("table1", base=PreprocessSpec(gaussian_kernel_size=31))
+        result = run_experiment(manifest, spec)
+        assert len(result.records) == 12 * 4
+        assert all(r.error.startswith("KernelTooLarge: ") for r in result.records)
 
 
 class TestExperimentSpec:
@@ -167,6 +197,14 @@ class TestCorpusHash:
         with open(tmp_path / "c" / "synth_000005_label.npy", "ab") as fh:
             fh.write(b"\x00")
         assert corpus_hash(manifest) != first
+
+    def test_covers_file_contents(self, tmp_path):
+        # same seed and file sizes, different pixel noise
+        hashes = [
+            corpus_hash(generate_corpus(2, SynthSpec(size=24, seed=5, noise_sigma=sigma), tmp_path / str(sigma)))
+            for sigma in (100.0, 200.0)
+        ]
+        assert hashes[0] != hashes[1]
 
 
 class TestFormatting:

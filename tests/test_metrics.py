@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from coastedge.errors import EmptyGroupError, ShapeError, WindowError
+from coastedge.errors import EmptyGroupError, ParamError, ShapeError, WindowError
 from coastedge.metrics import (
+    MetricParams,
     MetricRecord,
+    PreparedReference,
     aggregate,
     compute_all,
     psnr,
@@ -22,6 +24,22 @@ from oracles import rmse_direct, ssim_direct, uqi_direct
 def random_pair(rng, size=32):
     a = rng.integers(0, 256, size=(size, size)).astype(float)
     b = rng.integers(0, 256, size=(size, size)).astype(float)
+    return a, b
+
+
+def sparse_edge_pair(rng, size=32):
+    """Mostly-zero 0/255 maps, where many windows are flat in both images."""
+    a = np.where(rng.random((size, size)) < 0.05, 255.0, 0.0)
+    b = np.where(rng.random((size, size)) < 0.05, 255.0, 0.0)
+    return a, b
+
+
+def step_pair(size=32):
+    """A vertical 0/255 step and the same step one column to the right."""
+    a = np.zeros((size, size))
+    a[:, size // 2 :] = 255.0
+    b = np.zeros((size, size))
+    b[:, size // 2 + 1 :] = 255.0
     return a, b
 
 
@@ -82,6 +100,12 @@ class TestSsim:
             a, b = random_pair(rng)
             assert abs(ssim(a, b) - ssim_direct(a, b)) < 1e-6
 
+    @pytest.mark.parametrize("window", (5, 7, 9))
+    def test_matches_oracle_other_windows(self, rng, window):
+        params = MetricParams(ssim_window=window, ssim_sigma=1.2)
+        for a, b in (random_pair(rng), sparse_edge_pair(rng), step_pair()):
+            assert abs(ssim(a, b, params) - ssim_direct(a, b, window, 1.2)) < 1e-6
+
     def test_window_error(self):
         with pytest.raises(WindowError):
             ssim(np.zeros((8, 8)), np.zeros((8, 8)))
@@ -102,6 +126,18 @@ class TestUqi:
             a, b = random_pair(rng)
             assert abs(uqi(a, b) - uqi_direct(a, b)) < 1e-6
 
+    @pytest.mark.parametrize("window", (5, 7, 9))
+    def test_matches_oracle_other_windows(self, rng, window):
+        params = MetricParams(uqi_window=window)
+        for a, b in (random_pair(rng), sparse_edge_pair(rng), step_pair()):
+            assert abs(uqi(a, b, params) - uqi_direct(a, b, window)) < 1e-6
+
+    def test_shifted_step_at_window_7(self):
+        # 1/49-weighted float sums once made flat windows look non-flat here
+        # (0.7635); the definition gives 0.4594 (exact rational arithmetic)
+        a, b = step_pair()
+        assert abs(uqi(a, b, MetricParams(uqi_window=7)) - 0.459373876822897) < 1e-12
+
     def test_window_error(self):
         with pytest.raises(WindowError):
             uqi(np.zeros((4, 4)), np.zeros((4, 4)))
@@ -119,6 +155,34 @@ class TestSymmetry:
     def test_compute_all_keys(self, rng):
         a, b = random_pair(rng)
         assert set(compute_all(a, b)) == {"rmse", "psnr", "ssim", "uqi"}
+
+
+class TestPreparedReference:
+    def test_same_values_as_raw_reference(self, rng):
+        params = MetricParams(ssim_window=7, uqi_window=5)
+        a, b = sparse_edge_pair(rng)
+        prepared = PreparedReference(b, params)
+        for candidate in (a, random_pair(rng)[0], b):
+            assert compute_all(candidate, prepared, params) == compute_all(candidate, b, params)
+            assert ssim(candidate, prepared, params) == ssim(candidate, b, params)
+            assert uqi(candidate, prepared, params) == uqi(candidate, b, params)
+            assert rmse(candidate, prepared) == rmse(candidate, b)
+
+    def test_other_params_rejected(self, rng):
+        a, b = random_pair(rng)
+        with pytest.raises(ParamError):
+            compute_all(a, PreparedReference(b, MetricParams(uqi_window=5)))
+
+    def test_shape_mismatch(self, rng):
+        with pytest.raises(ShapeError):
+            compute_all(np.zeros((16, 16)), PreparedReference(np.zeros((20, 20))))
+
+    def test_each_metric_checks_only_its_window(self):
+        params = MetricParams(ssim_window=5, uqi_window=9)
+        prepared = PreparedReference(np.zeros((6, 6)), params)
+        assert ssim(np.zeros((6, 6)), prepared, params) == 1.0
+        with pytest.raises(WindowError, match="UQI window 9"):
+            uqi(np.zeros((6, 6)), prepared, params)
 
 
 def record(image_id, psnr_value):

@@ -15,6 +15,8 @@ from coastedge.preprocess import (
 )
 from coastedge.raster import Band, BandName
 
+from oracles import closing_loops
+
 
 def band_of(values, kind="raw16"):
     return Band(BandName.BLUE, np.asarray(values, dtype=np.float64), kind)
@@ -144,6 +146,12 @@ class TestMorphologicalClosing:
         out = morphological_closing(band, 3)
         out_t = morphological_closing(band_of(band.samples.T, "scaled8"), 3)
         np.testing.assert_array_equal(out.samples.T, out_t.samples)
+
+    @pytest.mark.parametrize("size", (3, 5, 7))
+    def test_matches_loop_oracle(self, rng, size):
+        samples = rng.integers(0, 256, size=(11, 13)).astype(float)
+        out = morphological_closing(band_of(samples, "scaled8"), size)
+        np.testing.assert_array_equal(out.samples, closing_loops(samples, size))
 
 
 class TestPipeline:
