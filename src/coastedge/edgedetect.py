@@ -1,9 +1,10 @@
 """Edge detection: Canny plus the Sobel, Scharr and Prewitt gradient operators.
 
-All four correlate with 3x3 kernels over edge-replicated borders. Canny's
-input is a blurred float image, so it keeps its own convolution core,
-whose sum order its results depend on; the three operators only ever see
-integer-valued bands, on which scipy.ndimage's correlation is exact.
+All four correlate with 3x3 kernels over edge-replicated borders. On
+integer-valued bands (kinds raw16 and scaled8) the gradients come from one
+separable integer core, exact whatever the sum order. A blurred float image
+(kind float, Canny with smoothing on) keeps the einsum convolution core,
+whose sum order its last bits depend on.
 """
 
 from __future__ import annotations
@@ -22,7 +23,11 @@ ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
 
 @dataclass(frozen=True)
 class GradientKernelPair:
-    """Horizontal/vertical 3x3 gradient kernels; gy is the transpose of gx."""
+    """Horizontal/vertical 3x3 gradient kernels; gy is the transpose of gx.
+
+    gx must be a column (s0, s1, s0) of integer weights times [-1, 0, 1],
+    the separable form the gradient core computes.
+    """
 
     name: str
     gx: np.ndarray
@@ -72,7 +77,13 @@ class GradientField:
 
 
 def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Correlation-convention sliding window, edge replication, same size."""
+    """Correlation-convention sliding window, edge replication, same size.
+
+    The last bits of einsum's sum depend on the memory layout of `image`:
+    blur_array returns a transposed (F-ordered) view, and a C-ordered copy
+    of the same blurred image changes Canny's normalized magnitude (though
+    not its edges). Keep the layout of the arrays passed here as it is.
+    """
     image = np.asarray(image, dtype=np.float64)
     kernel = np.asarray(kernel, dtype=np.float64)
     if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
@@ -86,23 +97,44 @@ def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     return np.einsum("ijkl,kl->ij", windows, kernel)
 
 
+def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tuple:
+    """gx and gy of a 3x3 pair from its separable form, edge-replicated borders.
+
+    gx is the column weights (s0, s1, s0) times a [-1, 0, 1] row difference,
+    and gy its transpose. The weights are integers, so on integer-valued
+    samples every partial result is a small integer and the output equals
+    convolve2d's bit for bit whatever the summation order.
+    """
+    s0, s1, _ = kernels.gx[:, 2].tolist()
+    padded = np.pad(image, 1, mode="edge")
+    gx = padded[:, 2:] - padded[:, :-2]
+    gy = padded[2:, :] - padded[:-2, :]
+    gx = s0 * (gx[:-2] + gx[2:]) + s1 * gx[1:-1]
+    gy = s0 * (gy[:, :-2] + gy[:, 2:]) + s1 * gy[:, 1:-1]
+    return gx, gy
+
+
 def gradient_field(band: Band, kernels: GradientKernelPair) -> GradientField:
-    """Gradient responses via convolve2d; magnitude = hypot, direction = atan2."""
-    gx = convolve2d(band.samples, kernels.gx)
-    gy = convolve2d(band.samples, kernels.gy)
+    """Gradient responses; magnitude = hypot, direction = atan2.
+
+    Integer-kind bands take the exact separable core; float bands go
+    through convolve2d.
+    """
+    if band.value_kind == "float":
+        gx = convolve2d(band.samples, kernels.gx)
+        gy = convolve2d(band.samples, kernels.gy)
+    else:
+        gx, gy = _separable_gradients(band.samples, kernels)
     return GradientField(magnitude=np.hypot(gx, gy), direction=np.arctan2(gy, gx))
 
 
 def gradient_magnitude(band: Band, kernels: GradientKernelPair) -> np.ndarray:
     """Gradient magnitude only, edge-replicated borders.
 
-    On integer-valued samples (every scaled8 band) each response is an
-    exact integer whatever the sum order, so this equals
+    On integer-valued samples (every scaled8 band) this equals
     gradient_field(band, kernels).magnitude bit for bit.
     """
-    gx = ndimage.correlate(band.samples, kernels.gx, mode="nearest")
-    gy = ndimage.correlate(band.samples, kernels.gy, mode="nearest")
-    return np.hypot(gx, gy)
+    return np.hypot(*_separable_gradients(band.samples, kernels))
 
 
 def _normalize_magnitude(magnitude: np.ndarray) -> np.ndarray:
@@ -119,6 +151,23 @@ def magnitude_to_edgemap(magnitude: np.ndarray) -> EdgeMap:
     return EdgeMap(values=normalized.astype(np.uint8), kind="magnitude")
 
 
+def _direction_sector(direction: np.ndarray) -> np.ndarray:
+    """Quantize atan2 directions to 4 sectors of 45 degrees, centred on 0/45/90/135.
+
+    For every atan2 output the unwrapped angle equals `rad2deg(direction)
+    % 180.0`: fmod is exact for |angle| < 180, and numpy's remainder then
+    adds 180 to a negative angle. -180 maps to 0 here and +180 stays, but
+    both lie in sector 0, as a count of 4 thresholds passed wraps to 0.
+    """
+    angle = np.rad2deg(direction)
+    angle = np.where(angle < 0, angle + 180.0, angle)
+    sector = np.zeros(angle.shape, dtype=np.int8)
+    for threshold in (22.5, 67.5, 112.5, 157.5):
+        sector += angle >= threshold
+    sector &= 3
+    return sector
+
+
 def _nms_mask(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Non-maximum suppression along the quantized gradient direction.
 
@@ -131,12 +180,7 @@ def _nms_mask(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
     def shifted(dr, dc):
         return padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
 
-    # quantize direction to 4 sectors on [0, 180)
-    angle = np.rad2deg(direction) % 180.0
-    sector = np.zeros_like(angle, dtype=np.int8)
-    sector[(angle >= 22.5) & (angle < 67.5)] = 1
-    sector[(angle >= 67.5) & (angle < 112.5)] = 2
-    sector[(angle >= 112.5) & (angle < 157.5)] = 3
+    sector = _direction_sector(direction)
 
     # neighbor offsets per sector: 0 deg -> left/right, 45 -> down-right/up-left
     # (row axis points down, so +gy responds to top->bottom increase)
@@ -164,10 +208,10 @@ def canny_debug(band: Band, params: CannyParams = CannyParams()):
 
     Debug dict keys: normalized_magnitude, nms_mask, strong, weak.
     """
-    image = band.samples
     if params.smoothing:
-        image = blur_array(image, params.smooth_kernel_size, params.smooth_sigma)
-    field = gradient_field(Band(band.name, np.maximum(image, 0.0), "float"), SOBEL)
+        image = blur_array(band.samples, params.smooth_kernel_size, params.smooth_sigma)
+        band = Band(band.name, np.maximum(image, 0.0), "float")
+    field = gradient_field(band, SOBEL)
     normalized = _normalize_magnitude(field.magnitude)
     nms = _nms_mask(field.magnitude, field.direction)
 

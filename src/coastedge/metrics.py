@@ -183,10 +183,11 @@ def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) 
     # images: both windows are flat iff n*sum(a*a) - sum(a)**2 and its b
     # counterpart are 0, and their means are equal iff the sums are.
     degenerate = (n * total_aa - total_a * total_a) + spread_b <= 0
-    skip = degenerate & (total_a == total_b)
-    contributing = ~skip
-    if not contributing.any():
-        return 0.0
+    skip = None
+    if degenerate.any():
+        skip = degenerate & (total_a == total_b)
+        if skip.all():
+            return 0.0
 
     mu_a = total_a / n
     mu_a_sq = mu_a**2
@@ -196,8 +197,12 @@ def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) 
     cov = _box_sums(ab, win) / n - mu_a * mu_b
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
-    q = np.where(degenerate, 0.0, q)
-    return float(q[contributing].mean())
+    if skip is not None:
+        q = np.where(degenerate, 0.0, q)
+        if skip.any():
+            q = q[~skip]
+    # q is C-contiguous, so a full q sums in the order of its compacted copy
+    return float(q.mean())
 
 
 def ssim(a, b, params: MetricParams = MetricParams()) -> float:

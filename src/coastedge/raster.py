@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import struct
 from dataclasses import dataclass
 from enum import Enum
@@ -112,7 +113,7 @@ class LabelMask:
         values = np.asarray(self.values)
         if values.ndim != 2:
             raise ShapeError(f"label must be 2D, got shape {values.shape}")
-        if not np.isin(values, (0, 1)).all():
+        if not ((values == 0) | (values == 1)).all():
             raise LabelError("label values must be strictly binary {0, 1}")
         object.__setattr__(self, "values", values.astype(np.uint8))
 
@@ -142,7 +143,7 @@ class EdgeMap:
             values = values.astype(np.uint8)
         if self.kind not in ("binary", "magnitude"):
             raise ValueError(f"bad edge map kind {self.kind!r}")
-        if self.kind == "binary" and not np.isin(values, (0, 255)).all():
+        if self.kind == "binary" and not ((values == 0) | (values == 255)).all():
             raise ValueError("binary edge map must only contain 0 and 255")
         object.__setattr__(self, "values", values)
 
@@ -232,15 +233,21 @@ def read_npy(path) -> np.ndarray:
     descr = header["descr"]
     if descr not in _SUPPORTED_DESCRS:
         raise UnsupportedDtype(f"{path}: unsupported dtype {descr!r}")
-    shape = tuple(header["shape"])
-    if len(shape) not in (2, 3):
-        raise FormatError(f"{path}: expected a 2D or 3D array, got shape {shape}")
+    shape = header["shape"]
+    if not isinstance(shape, tuple) or len(shape) not in (2, 3):
+        raise FormatError(f"{path}: expected a 2D or 3D array, got shape {shape!r}")
+    # bool is an int subclass, but True is no dimension
+    if any(type(s) is not int or s < 0 for s in shape):
+        raise FormatError(f"{path}: shape entries must be non-negative ints, got {shape!r}")
 
     dtype = np.dtype(_SUPPORTED_DESCRS[descr]).newbyteorder("<")
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     payload = data[header_end:]
-    if len(payload) < count * dtype.itemsize:
-        raise FormatError(f"{path}: truncated NPY payload")
+    if len(payload) != count * dtype.itemsize:
+        raise FormatError(
+            f"{path}: NPY payload is {len(payload)} bytes, "
+            f"shape {shape} of {descr} needs {count * dtype.itemsize}"
+        )
     array = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
     return array.astype(dtype.newbyteorder("="))
 
@@ -311,12 +318,17 @@ def load_manifest(path) -> list[dict]:
 
     base = path.parent
     entries = []
+    seen = set()
     for raw in images:
         if not isinstance(raw, dict) or not {"id", "image", "label"} <= set(raw):
             raise CorpusError(f"manifest {path}: malformed image entry {raw!r}")
+        image_id = str(raw["id"])
+        if image_id in seen:
+            raise CorpusError(f"manifest {path}: duplicate image id {image_id!r}")
+        seen.add(image_id)
         entries.append(
             {
-                "id": str(raw["id"]),
+                "id": image_id,
                 "image": str(base / raw["image"]),
                 "label": str(base / raw["label"]),
             }
@@ -343,9 +355,10 @@ def load_scene(entry: dict) -> Scene:
     label_arr = read_npy(entry["label"])
     if label_arr.ndim != 2:
         raise ShapeError(f"{entry['id']}: label must be 2D, got shape {label_arr.shape}")
-    if not np.isin(label_arr, (0, 1)).all():
-        raise LabelError(f"{entry['id']}: label values must be strictly binary")
-    label = LabelMask(label_arr)
+    try:
+        label = LabelMask(label_arr)
+    except LabelError as exc:
+        raise LabelError(f"{entry['id']}: {exc}") from exc
 
     if image.ndim != 3:
         raise ShapeError(f"{entry['id']}: image must be HxWx12, got shape {image.shape}")

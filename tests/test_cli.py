@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,9 +91,46 @@ class TestDetect:
         assert code == 2
         assert err != ""
 
+    def test_malformed_npy_shape_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        path = corpus_dir / "synth_000010_image.npy"
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"'shape': (32,", b"'shape': (32.,", 1))
+        code, _, err = run(
+            capsys, "detect", "--input", str(path),
+            "--band", "Blue", "--out", str(tmp_path / "x.pgm"),
+        )
+        assert code == 1
+        assert "shape entries must be non-negative ints" in err
+
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "detect", "--band", "Blue")
         assert code == 1
+
+
+    @pytest.mark.parametrize("algorithm", ["canny", "sobel"])
+    def test_memory_peak_of_scored_call(self, tmp_path, capsys, algorithm):
+        # Above the heap-trim threshold a long-lived process is left with,
+        # every call faults its freed heap back in; 256² calls peak at 9.4 MiB.
+        code, _, _ = run(
+            capsys, "synth", "--n", "1", "--size", "256", "--seed", "1000",
+            "--noise-sigma", "300", "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        argv = [
+            "detect",
+            "--input", str(tmp_path / "synth_001000_image.npy"),
+            "--label", str(tmp_path / "synth_001000_label.npy"),
+            "--band", "NIR", "--algorithm", algorithm, "--out", str(tmp_path / "e.pgm"),
+        ]
+        assert run(capsys, *argv)[0] == 0  # first call: lazy imports and caches
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, *argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 10 * 2**20
 
 
 class TestEvaluate:
@@ -127,6 +165,18 @@ class TestEvaluate:
         assert code == 3
         assert "failed" in err
         assert (tmp_path / "r" / "records.csv").exists()
+
+    def test_duplicate_manifest_ids_are_io_error(self, corpus_dir, tmp_path, capsys):
+        manifest = corpus_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["images"][1]["id"] = doc["images"][0]["id"]
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(manifest),
+            "--experiment", "table1", "--out-dir", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert "duplicate image id" in err
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(

@@ -9,6 +9,8 @@ from coastedge.edgedetect import (
     SCHARR,
     SOBEL,
     CannyParams,
+    _direction_sector,
+    _separable_gradients,
     canny,
     canny_debug,
     convolve2d,
@@ -128,6 +130,96 @@ class TestGradientMagnitude:
                 gradient_magnitude(band, KERNELS[name]),
                 gradient_field(band, KERNELS[name]).magnitude,
             )
+
+
+def integer_images(rng):
+    """Integer-valued test bands: dense 8-bit and 16-bit, sparse 0/255, a step."""
+    for shape in ((3, 3), (3, 8), (7, 5), (24, 25), (64, 64)):
+        yield rng.integers(0, 256, size=shape).astype(float)
+        yield rng.integers(0, 65536, size=shape).astype(float)
+        yield np.where(rng.random(shape) < 0.05, 255.0, 0.0)
+        step = np.zeros(shape)
+        step[:, shape[1] // 2 :] = 255.0
+        yield step
+
+
+class TestSeparableGradients:
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_equals_convolve2d_bit_for_bit_on_integer_bands(self, rng, name):
+        pair = KERNELS[name]
+        for image in integer_images(rng):
+            gx, gy = _separable_gradients(image, pair)
+            # byte comparison: signed zeros must agree too (atan2 sees them)
+            assert gx.tobytes() == convolve2d(image, pair.gx).tobytes()
+            assert gy.tobytes() == convolve2d(image, pair.gy).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_matches_loop_oracle_on_float_input(self, rng, name):
+        pair = KERNELS[name]
+        for shape in ((3, 3), (5, 9), (8, 8)):
+            image = rng.normal(size=shape) * 100
+            image -= image.min()
+            gx, gy = _separable_gradients(image, pair)
+            np.testing.assert_allclose(gx, convolve2d_loops(image, pair.gx), atol=1e-9)
+            np.testing.assert_allclose(gy, convolve2d_loops(image, pair.gy), atol=1e-9)
+
+    def test_float_bands_keep_convolve2d(self, rng):
+        image = rng.normal(size=(12, 12)) * 100
+        image -= image.min()
+        field = gradient_field(Band(BandName.GREEN, image, "float"), SOBEL)
+        expected = np.hypot(convolve2d(image, SOBEL.gx), convolve2d(image, SOBEL.gy))
+        assert field.magnitude.tobytes() == expected.tobytes()
+
+    def test_unsmoothed_canny_same_on_both_paths(self, rng):
+        # scaled8 takes the separable core, float takes convolve2d
+        params = CannyParams(smoothing=False)
+        for image in integer_images(rng):
+            edges, debug = canny_debug(band_of(image), params)
+            edges_f, debug_f = canny_debug(Band(BandName.GREEN, image, "float"), params)
+            np.testing.assert_array_equal(edges.values, edges_f.values)
+            for key, value in debug.items():
+                assert value.tobytes() == debug_f[key].tobytes(), key
+
+
+def sector_by_remainder(direction):
+    """The sector as first written: % 180 and masked assignment."""
+    angle = np.rad2deg(direction) % 180.0
+    sector = np.zeros_like(angle, dtype=np.int8)
+    sector[(angle >= 22.5) & (angle < 67.5)] = 1
+    sector[(angle >= 67.5) & (angle < 112.5)] = 2
+    sector[(angle >= 112.5) & (angle < 157.5)] = 3
+    return sector
+
+
+class TestDirectionSector:
+    def test_dense_sweep(self):
+        direction = np.concatenate(
+            [np.linspace(-np.pi, np.pi, 1_000_001), [-np.pi, -0.0, 0.0, np.pi]]
+        )
+        np.testing.assert_array_equal(
+            _direction_sector(direction), sector_by_remainder(direction)
+        )
+
+    def test_near_every_threshold(self):
+        steps = np.arange(-2000, 2001)
+        tiny = np.arange(2001).view(np.float64)  # +0 and the smallest subnormals
+        nearby = [tiny, -tiny]
+        for degrees in (22.5, 67.5, 90.0, 112.5, 157.5, 180.0):
+            for sign in (1.0, -1.0):
+                bits = np.float64(np.deg2rad(sign * degrees)).view(np.int64)
+                nearby.append((bits + steps).view(np.float64))
+        direction = np.concatenate(nearby)
+        direction = direction[np.abs(direction) <= np.pi]
+        np.testing.assert_array_equal(
+            _direction_sector(direction), sector_by_remainder(direction)
+        )
+
+    def test_integer_gradient_directions(self):
+        gy, gx = np.mgrid[-300:301, -300:301].astype(float)
+        direction = np.arctan2(gy, gx)
+        np.testing.assert_array_equal(
+            _direction_sector(direction), sector_by_remainder(direction)
+        )
 
 
 class TestMagnitudeToEdgemap:

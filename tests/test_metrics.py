@@ -10,6 +10,7 @@ from coastedge.metrics import (
     MetricParams,
     MetricRecord,
     PreparedReference,
+    _box_sums,
     aggregate,
     compute_all,
     psnr,
@@ -141,6 +142,50 @@ class TestUqi:
     def test_window_error(self):
         with pytest.raises(WindowError):
             uqi(np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+def uqi_always_masked(a, b, window):
+    """UQI with the degenerate-window masking and compaction always applied."""
+    n = window * window
+    total_a, total_aa = _box_sums(a, window), _box_sums(a * a, window)
+    total_b, total_bb = _box_sums(b, window), _box_sums(b * b, window)
+    mu_a, mu_b = total_a / n, total_b / n
+    mu_a_sq, mu_b_sq = mu_a**2, mu_b**2
+    var_a, var_b = total_aa / n - mu_a_sq, total_bb / n - mu_b_sq
+    degenerate = (n * total_aa - total_a * total_a) + (n * total_bb - total_b * total_b) <= 0
+    contributing = ~(degenerate & (total_a == total_b))
+    if not contributing.any():
+        return 0.0
+    cov = _box_sums(a * b, window) / n - mu_a * mu_b
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
+    q = np.where(degenerate, 0.0, q)
+    return float(q[contributing].mean())
+
+
+def flat_halves_pair(rng, size=32):
+    """Left halves flat at different levels: degenerate windows, none skipped."""
+    a, b = np.full((size, size), 10.0), np.full((size, size), 20.0)
+    a[:, size // 2 :] = rng.integers(0, 256, size=(size, size - size // 2))
+    b[:, size // 2 :] = rng.integers(0, 256, size=(size, size - size // 2))
+    return a, b
+
+
+class TestUqiFastPath:
+    @pytest.mark.parametrize("window", (5, 7, 8, 9))
+    def test_bit_identical_to_always_masked(self, rng, window):
+        params = MetricParams(uqi_window=window)
+        pairs = [
+            random_pair(rng),
+            random_pair(rng, size=256),
+            sparse_edge_pair(rng),
+            sparse_edge_pair(rng, size=256),
+            step_pair(),
+            flat_halves_pair(rng),
+            (np.zeros((16, 16)), np.zeros((16, 16))),
+        ]
+        for a, b in pairs:
+            assert uqi(a, b, params) == uqi_always_masked(a, b, window)
 
 
 class TestSymmetry:

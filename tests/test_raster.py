@@ -85,6 +85,13 @@ class TestDomainTypes:
             Scene(id="x", bands=bands, label=clean_scene.label)
 
 
+def _npy_bytes(shape: str, payload: bytes) -> bytes:
+    """An NPY v1.0 file of u1 elements with a hand-written shape entry."""
+    header = f"{{'descr': '|u1', 'fortran_order': False, 'shape': {shape}, }}"
+    header += " " * (-(len(header) + 11) % 64) + "\n"
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode() + payload
+
+
 class TestNpy:
     def test_zero_u16(self, tmp_path):
         path = tmp_path / "z.npy"
@@ -136,6 +143,28 @@ class TestNpy:
         path.write_bytes(data[:-32])
         with pytest.raises(FormatError):
             read_npy(path)
+
+    @pytest.mark.parametrize(
+        "shape, payload",
+        [
+            ("(-1, 4)", 32),  # numpy's reshape would infer (8, 4)
+            ("(2.0, 4)", 8),
+            ("(True, 4)", 4),
+            ("[2, 4]", 8),
+            ("(2, 4)", 9),  # one trailing byte
+            ("(2, 4)", 7),
+        ],
+    )
+    def test_strict_shape_and_payload_length(self, tmp_path, shape, payload):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(_npy_bytes(shape, b"\x01" * payload))
+        with pytest.raises(FormatError):
+            read_npy(path)
+
+    def test_exact_handmade_file_reads(self, tmp_path):
+        path = tmp_path / "ok.npy"
+        path.write_bytes(_npy_bytes("(2, 4)", bytes(range(8))))
+        np.testing.assert_array_equal(read_npy(path), np.arange(8).reshape(2, 4))
 
     def test_1d_rejected(self, tmp_path):
         path = tmp_path / "one.npy"
@@ -225,7 +254,7 @@ class TestLoadScene:
     def test_non_binary_label(self, tmp_path, rng):
         image = rng.integers(0, 100, size=(8, 8, 12)).astype(np.uint16)
         label = np.full((8, 8), 2, dtype=np.uint8)
-        with pytest.raises(LabelError):
+        with pytest.raises(LabelError, match="^chip: "):
             load_scene(_write_pair(tmp_path, image, label))
 
     def test_wrong_band_count(self, tmp_path, rng):
@@ -263,6 +292,14 @@ class TestManifest:
         path = tmp_path / "m.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(CorpusError):
+            load_manifest(path)
+
+    def test_duplicate_ids_rejected(self, small_corpus, tmp_path):
+        doc = json.loads(small_corpus.read_text())
+        doc["images"].append(doc["images"][0])
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CorpusError, match="duplicate image id"):
             load_manifest(path)
 
     def test_not_json(self, tmp_path):
