@@ -149,7 +149,7 @@ def _read_band(path, band_name: BandName) -> Band:
     image = read_npy(path)
     if image.ndim != 3 or image.shape[2] != 12:
         raise CliError(f"{path}: expected an HxWx12 image stack, got shape {image.shape}")
-    index = BandName.canonical_order().index(band_name)
+    index = list(BandName).index(band_name)
     return Band(name=band_name, samples=image[:, :, index].astype(np.float64))
 
 
@@ -159,10 +159,12 @@ def cmd_detect(args) -> int:
     except ValueError as exc:
         raise CliError(str(exc))
 
+    canny_params, metric_params = _canny_params(args), _metric_params(args)
+
     # the image stack and the preprocessed band are freed before scoring,
     # which is the memory peak of this call
-    processed = run_pipeline(_read_band(args.input, band_name), _preprocess_spec(args))
-    edges = detect(processed, args.algorithm, _canny_params(args))
+    processed = run_pipeline(_read_band(args.input, band_name).samples, _preprocess_spec(args))
+    edges = detect(processed, args.algorithm, canny_params)
     del processed
 
     if args.format == "pgm":
@@ -172,8 +174,8 @@ def cmd_detect(args) -> int:
 
     if args.label is not None:
         label = LabelMask(read_npy(args.label))
-        reference = derive_reference(label, _canny_params(args))
-        values = compute_all(edges, reference, _metric_params(args))
+        reference = derive_reference(label, canny_params)
+        values = compute_all(edges, reference, metric_params)
         print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
     return EXIT_OK
 

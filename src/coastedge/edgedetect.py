@@ -1,10 +1,9 @@
 """Edge detection: Canny plus the Sobel, Scharr and Prewitt gradient operators.
 
-All four correlate with 3x3 kernels over edge-replicated borders. On
-integer-valued bands (kinds raw16 and scaled8) the gradients come from one
-separable integer core, exact whatever the sum order. A blurred float image
-(kind float, Canny with smoothing on) keeps the einsum convolution core,
-whose sum order its last bits depend on.
+All four correlate with 3x3 kernels over edge-replicated borders, through
+one separable core with integer weights: exact on integer-valued samples,
+and exactly flip- and transpose-symmetric on float ones. The detectors
+take plain 2D arrays; samples are validated once, where a raster is read.
 """
 
 from __future__ import annotations
@@ -14,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import KernelTooLarge, ParamError
+from .errors import ParamError
 from .preprocess import blur_array, round_half_up
-from .raster import Band, EdgeMap
+from .raster import EdgeMap
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
 
@@ -76,37 +75,17 @@ class GradientField:
     direction: np.ndarray
 
 
-def convolve2d(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Correlation-convention sliding window, edge replication, same size.
-
-    The last bits of einsum's sum depend on the memory layout of `image`:
-    blur_array returns a transposed (F-ordered) view, and a C-ordered copy
-    of the same blurred image changes Canny's normalized magnitude (though
-    not its edges). Keep the layout of the arrays passed here as it is.
-    """
-    image = np.asarray(image, dtype=np.float64)
-    kernel = np.asarray(kernel, dtype=np.float64)
-    if kernel.ndim != 2 or kernel.shape[0] != kernel.shape[1] or kernel.shape[0] % 2 == 0:
-        raise ParamError(f"kernel must be odd square, got shape {kernel.shape}")
-    k = kernel.shape[0]
-    if k > min(image.shape):
-        raise KernelTooLarge(f"kernel {k}x{k} larger than image {image.shape}")
-    half = k // 2
-    padded = np.pad(image, half, mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k))
-    return np.einsum("ijkl,kl->ij", windows, kernel)
-
-
 def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tuple:
     """gx and gy of a 3x3 pair from its separable form, edge-replicated borders.
 
     gx is the column weights (s0, s1, s0) times a [-1, 0, 1] row difference,
     and gy its transpose. The weights are integers, so on integer-valued
-    samples every partial result is a small integer and the output equals
-    convolve2d's bit for bit whatever the summation order.
+    samples every partial result is a small integer and the output is exact.
+    On any input each output sums its terms in a mirror-symmetric order, so
+    flipping or transposing the image flips or transposes gx and gy exactly.
     """
     s0, s1, _ = kernels.gx[:, 2].tolist()
-    padded = np.pad(image, 1, mode="edge")
+    padded = np.pad(np.asarray(image, dtype=np.float64), 1, mode="edge")
     gx = padded[:, 2:] - padded[:, :-2]
     gy = padded[2:, :] - padded[:-2, :]
     gx = s0 * (gx[:-2] + gx[2:]) + s1 * gx[1:-1]
@@ -114,27 +93,15 @@ def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tupl
     return gx, gy
 
 
-def gradient_field(band: Band, kernels: GradientKernelPair) -> GradientField:
-    """Gradient responses; magnitude = hypot, direction = atan2.
-
-    Integer-kind bands take the exact separable core; float bands go
-    through convolve2d.
-    """
-    if band.value_kind == "float":
-        gx = convolve2d(band.samples, kernels.gx)
-        gy = convolve2d(band.samples, kernels.gy)
-    else:
-        gx, gy = _separable_gradients(band.samples, kernels)
+def gradient_field(image: np.ndarray, kernels: GradientKernelPair) -> GradientField:
+    """Gradient responses; magnitude = hypot, direction = atan2."""
+    gx, gy = _separable_gradients(image, kernels)
     return GradientField(magnitude=np.hypot(gx, gy), direction=np.arctan2(gy, gx))
 
 
-def gradient_magnitude(band: Band, kernels: GradientKernelPair) -> np.ndarray:
-    """Gradient magnitude only, edge-replicated borders.
-
-    On integer-valued samples (every scaled8 band) this equals
-    gradient_field(band, kernels).magnitude bit for bit.
-    """
-    return np.hypot(*_separable_gradients(band.samples, kernels))
+def gradient_magnitude(image: np.ndarray, kernels: GradientKernelPair) -> np.ndarray:
+    """Gradient magnitude only; equals gradient_field(image, kernels).magnitude."""
+    return np.hypot(*_separable_gradients(image, kernels))
 
 
 def _normalize_magnitude(magnitude: np.ndarray) -> np.ndarray:
@@ -197,21 +164,20 @@ def _nms_mask(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
 _EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
 
 
-def canny(band: Band, params: CannyParams = CannyParams()) -> EdgeMap:
+def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> EdgeMap:
     """Full Canny chain: smooth, Sobel gradients, NMS, double-threshold, hysteresis."""
-    edges, _ = canny_debug(band, params)
+    edges, _ = canny_debug(image, params)
     return edges
 
 
-def canny_debug(band: Band, params: CannyParams = CannyParams()):
+def canny_debug(image: np.ndarray, params: CannyParams = CannyParams()):
     """Canny returning the edge map plus intermediate fields for verification.
 
     Debug dict keys: normalized_magnitude, nms_mask, strong, weak.
     """
     if params.smoothing:
-        image = blur_array(band.samples, params.smooth_kernel_size, params.smooth_sigma)
-        band = Band(band.name, np.maximum(image, 0.0), "float")
-    field = gradient_field(band, SOBEL)
+        image = blur_array(image, params.smooth_kernel_size, params.smooth_sigma)
+    field = gradient_field(image, SOBEL)
     normalized = _normalize_magnitude(field.magnitude)
     nms = _nms_mask(field.magnitude, field.direction)
 
@@ -236,10 +202,10 @@ def canny_debug(band: Band, params: CannyParams = CannyParams()):
     return edges, debug
 
 
-def detect(band: Band, algorithm: str, params: CannyParams = CannyParams()) -> EdgeMap:
+def detect(image: np.ndarray, algorithm: str, params: CannyParams = CannyParams()) -> EdgeMap:
     """Dispatch to Canny or a gradient operator's normalized magnitude map."""
     if algorithm == "canny":
-        return canny(band, params)
+        return canny(image, params)
     if algorithm in KERNELS:
-        return magnitude_to_edgemap(gradient_magnitude(band, KERNELS[algorithm]))
+        return magnitude_to_edgemap(gradient_magnitude(image, KERNELS[algorithm]))
     raise ParamError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")

@@ -30,7 +30,7 @@ from .metrics import (
     compute_all,
 )
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import Band, BandName, EdgeMap, LabelMask, Scene, load_manifest, load_scene, write_pgm
+from .raster import BandName, EdgeMap, LabelMask, Scene, load_manifest, load_scene, write_pgm
 
 EXPERIMENT_KINDS = ("table1", "equalization_ablation", "noise_ablation")
 
@@ -113,13 +113,7 @@ def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()
     Internal smoothing is disabled so every reference edge pixel is
     guaranteed to touch (8-adjacency) a pixel of the opposite label class.
     """
-    band = Band(
-        name=BandName.COASTAL_AEROSOL,
-        samples=label.values.astype(np.float64) * 255.0,
-        value_kind="scaled8",
-    )
-    params = replace(canny_params, smoothing=False)
-    return canny(band, params)
+    return canny(label.values * 255.0, replace(canny_params, smoothing=False))
 
 
 # Faults of a cell's data or parameters. Anything else is a bug in the
@@ -144,24 +138,19 @@ def run_cell(
     band_name: BandName,
     algorithm: str,
     preprocess_spec: PreprocessSpec,
-    canny_params: CannyParams = CannyParams(),
-    metric_params: MetricParams = MetricParams(),
-    reference: EdgeMap | PreparedReference | None = None,
-    processed: Band | None = None,
+    canny_params: CannyParams,
+    metric_params: MetricParams,
+    reference: EdgeMap | PreparedReference,
+    processed: np.ndarray,
 ) -> MetricRecord:
     """Detect edges on one band and score them against the reference.
 
-    `processed` is the band already run through `preprocess_spec`, and
-    `reference` the scene's reference edges, plain or prepared for
-    `metric_params`; either is computed here when not given. A data or
-    parameter fault comes back as a record with the error field set, so
-    one bad cell cannot abort a corpus run.
+    `processed` is the band's samples already run through `preprocess_spec`,
+    and `reference` the scene's reference edges, plain or prepared for
+    `metric_params`. A data or parameter fault comes back as a record with
+    the error field set, so one bad cell cannot abort a corpus run.
     """
     try:
-        if reference is None:
-            reference = derive_reference(scene.label, canny_params)
-        if processed is None:
-            processed = run_pipeline(scene.bands[band_name], preprocess_spec)
         edges = detect(processed, algorithm, canny_params)
         values = compute_all(edges, reference, metric_params)
     except CELL_ERRORS as exc:
@@ -190,16 +179,16 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
     except CELL_ERRORS as exc:
         return [
             _error_record(entry["id"], band, algorithm, variant, exc)
-            for band in BandName.canonical_order()
+            for band in BandName
             for algorithm in spec.algorithms
             for variant in spec.preprocess_variants
         ]
 
     records = []
-    for band in BandName.canonical_order():
+    for band in BandName:
         for variant in spec.preprocess_variants:
             try:
-                processed = run_pipeline(scene.bands[band], variant)
+                processed = run_pipeline(scene.bands[band].samples, variant)
             except CELL_ERRORS as exc:
                 records += [_error_record(scene.id, band, a, variant, exc) for a in spec.algorithms]
                 continue
@@ -220,7 +209,7 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
 
 
 def _record_sort_key(spec: ExperimentSpec):
-    band_index = {b.value: i for i, b in enumerate(BandName.canonical_order())}
+    band_index = {b.value: i for i, b in enumerate(BandName)}
     algo_index = {a: i for i, a in enumerate(ALGORITHMS)}
     tag_index = {t: i for i, t in enumerate(spec.variant_tags)}
 
@@ -261,7 +250,7 @@ def aggregate_records(records: list, spec: ExperimentSpec) -> list[dict]:
     rows = []
     for tag in spec.variant_tags:
         subset = [r for r in records if r.preprocess_tag == tag]
-        for band in BandName.canonical_order():
+        for band in BandName:
             for algorithm in spec.algorithms:
                 for metric_name in METRIC_NAMES:
                     try:
@@ -467,7 +456,7 @@ def markdown_table(rows: list, algorithms: tuple = ALGORITHMS, metrics=("psnr", 
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
-    for band in BandName.canonical_order():
+    for band in BandName:
         line = [band.display]
         for algorithm in algorithms:
             for metric in metrics:
@@ -489,7 +478,7 @@ def write_plotdata_csv(result: RunResult, path) -> None:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["band"] + tags)
-            for band in BandName.canonical_order():
+            for band in BandName:
                 row = [band.value]
                 for tag in tags:
                     cell = cells.get((band.value, tag))
@@ -549,9 +538,9 @@ def dump_band_edges(
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
     paths = []
-    for i, name in enumerate(BandName.canonical_order()):
-        band = run_pipeline(scene.bands[name], preprocess_spec)
-        edges = detect(band, algorithm, canny_params)
+    for i, name in enumerate(BandName):
+        processed = run_pipeline(scene.bands[name].samples, preprocess_spec)
+        edges = detect(processed, algorithm, canny_params)
         path = out_dir / f"{i:02d}_{name.value}.pgm"
         write_pgm(edges, path)
         paths.append(path)

@@ -21,6 +21,14 @@ class MetricParams:
     ssim_sigma: float = 1.5
     uqi_window: int = 8
 
+    def __post_init__(self):
+        if self.ssim_window < 3 or self.ssim_window % 2 == 0:
+            raise ParamError(f"ssim_window must be odd and >= 3, got {self.ssim_window}")
+        if not self.ssim_sigma > 0:
+            raise ParamError(f"ssim_sigma must be > 0, got {self.ssim_sigma}")
+        if self.uqi_window < 2:
+            raise ParamError(f"uqi_window must be >= 2, got {self.uqi_window}")
+
 
 @dataclass(frozen=True)
 class MetricRecord:

@@ -1,7 +1,7 @@
 """Band preprocessing: min-max scaling, histogram equalization, noise reduction.
 
-Every step is a pure Band -> Band transform. Quantization always uses
-round-half-up so results are bit-reproducible.
+Every step is a pure array -> array transform on 2D float64 samples.
+Quantization always uses round-half-up so results are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import KernelTooLarge, ParamError
-from .raster import Band
 
 NOISE_REDUCTIONS = ("none", "gaussian", "closing")
 
@@ -48,20 +47,17 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x) + 0.5)
 
 
-def scale_minmax(band: Band) -> Band:
-    """Linearly rescale samples to 0..255. Constant bands map to all zeros."""
-    x = band.samples
-    lo, hi = x.min(), x.max()
+def scale_minmax(image: np.ndarray) -> np.ndarray:
+    """Linearly rescale samples to 0..255 integers. Constant images map to all zeros."""
+    lo, hi = image.min(), image.max()
     if hi == lo:
-        out = np.zeros_like(x)
-    else:
-        out = round_half_up((x - lo) / (hi - lo) * 255.0)
-    return Band(name=band.name, samples=out, value_kind="scaled8")
+        return np.zeros_like(image)
+    return round_half_up((image - lo) / (hi - lo) * 255.0)
 
 
-def equalize_histogram(band: Band) -> Band:
-    """Classic 256-bin CDF remap. Expects a scaled8 band (0..255 integers)."""
-    x = band.samples.astype(np.int64)
+def equalize_histogram(image: np.ndarray) -> np.ndarray:
+    """Classic 256-bin CDF remap. Expects 0..255 integer samples."""
+    x = image.astype(np.int64)
     hist = np.bincount(x.ravel(), minlength=256)
     cdf = np.cumsum(hist)
     occupied = np.nonzero(hist)[0]
@@ -69,10 +65,9 @@ def equalize_histogram(band: Band) -> Band:
     n = x.size
     if cdf_min == n:
         # constant image: nothing to stretch
-        return band
+        return image
     remap = round_half_up((cdf - cdf_min) / (n - cdf_min) * 255.0)
-    out = remap[x].astype(np.float64)
-    return Band(name=band.name, samples=out, value_kind="scaled8")
+    return remap[x].astype(np.float64)
 
 
 def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
@@ -104,27 +99,25 @@ def blur_array(image: np.ndarray, kernel_size: int, sigma: float) -> np.ndarray:
     return out
 
 
-def gaussian_blur(band: Band, kernel_size: int = 5, sigma: float = 1.0) -> Band:
+def gaussian_blur(image: np.ndarray, kernel_size: int = 5, sigma: float = 1.0) -> np.ndarray:
     """Gaussian blur, re-quantized to 0..255 by round-and-clamp."""
-    out = blur_array(band.samples, kernel_size, sigma)
-    out = np.clip(round_half_up(out), 0.0, 255.0)
-    return Band(name=band.name, samples=out, value_kind="scaled8")
+    out = blur_array(image, kernel_size, sigma)
+    return np.clip(round_half_up(out), 0.0, 255.0)
 
 
-def morphological_closing(band: Band, element_size: int = 3) -> Band:
+def morphological_closing(image: np.ndarray, element_size: int = 3) -> np.ndarray:
     """Grayscale closing: window max (dilation) then window min (erosion).
 
     Square element, edge-replicated borders.
     """
     if element_size < 3 or element_size % 2 == 0:
         raise ParamError("closing element must be odd and >= 3")
-    closed = ndimage.grey_closing(band.samples, size=element_size, mode="nearest")
-    return Band(name=band.name, samples=closed, value_kind="scaled8")
+    return ndimage.grey_closing(image, size=element_size, mode="nearest")
 
 
-def run_pipeline(band: Band, spec: PreprocessSpec) -> Band:
+def run_pipeline(image: np.ndarray, spec: PreprocessSpec) -> np.ndarray:
     """Apply scale -> (equalize) -> (noise reduction) in order."""
-    out = scale_minmax(band)
+    out = scale_minmax(image)
     if spec.equalize:
         out = equalize_histogram(out)
     if spec.noise_reduction == "gaussian":

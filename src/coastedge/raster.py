@@ -45,10 +45,6 @@ class BandName(Enum):
     SWIR_2 = "SWIR2"
 
     @classmethod
-    def canonical_order(cls) -> list["BandName"]:
-        return list(cls)
-
-    @classmethod
     def from_string(cls, name: str) -> "BandName":
         for member in cls:
             if member.value == name:
@@ -69,16 +65,16 @@ class BandName(Enum):
         return "".join(out)
 
 
-VALUE_KINDS = ("raw16", "scaled8", "float")
-
-
 @dataclass(frozen=True)
 class Band:
-    """One grayscale raster plane with band identity and sample scale."""
+    """One grayscale raster plane as read from a chip, with its band identity.
+
+    Built only where samples enter the toolkit; every later stage takes
+    `samples`, a plain 2D float64 array, as validated here.
+    """
 
     name: BandName
     samples: np.ndarray  # 2D float64, row-major
-    value_kind: str = "raw16"
 
     def __post_init__(self):
         samples = np.asarray(self.samples, dtype=np.float64)
@@ -91,16 +87,6 @@ class Band:
             raise ValueError("band samples must be finite")
         if np.any(samples < 0):
             raise ValueError("band samples must be non-negative")
-        if self.value_kind not in VALUE_KINDS:
-            raise ValueError(f"bad value_kind {self.value_kind!r}")
-
-    @property
-    def height(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.samples.shape[1]
 
 
 @dataclass(frozen=True)
@@ -369,9 +355,9 @@ def load_scene(entry: dict) -> Scene:
 
     target = (label.height, label.width)
     bands = {}
-    for i, name in enumerate(BandName.canonical_order()):
+    for i, name in enumerate(BandName):
         plane = image[:, :, i].astype(np.float64)
         if plane.shape != target:
             plane = _resample_nearest(plane, target)
-        bands[name] = Band(name=name, samples=plane, value_kind="raw16")
+        bands[name] = Band(name=name, samples=plane)
     return Scene(id=entry["id"], bands=bands, label=label)

@@ -127,7 +127,7 @@ def generate_scene(spec: SynthSpec) -> Scene:
     rects = _development_rectangles(spec, rng)
 
     bands = {}
-    for name in BandName.canonical_order():
+    for name in BandName:
         land_mean, water_mean = spec.class_means[name]
         mid = 0.5 * (land_mean + water_mean)
         land_mean = mid + (land_mean - mid) * spec.contrast
@@ -141,7 +141,7 @@ def generate_scene(spec: SynthSpec) -> Scene:
                 land[block], DEVELOPMENT_INTENSITY, samples[block]
             )
         samples = np.clip(np.round(samples), 0.0, 65535.0)
-        bands[name] = Band(name=name, samples=samples, value_kind="raw16")
+        bands[name] = Band(name=name, samples=samples)
     return Scene(id=f"synth_{spec.seed:06d}", bands=bands, label=label)
 
 
@@ -163,7 +163,7 @@ def generate_corpus(n: int, base_spec: SynthSpec, out_dir) -> Path:
         spec = replace(base_spec, seed=base_spec.seed + i)
         scene = generate_scene(spec)
         stack = np.stack(
-            [scene.bands[name].samples for name in BandName.canonical_order()], axis=-1
+            [scene.bands[name].samples for name in BandName], axis=-1
         ).astype(np.uint16)
         image_file = f"{scene.id}_image.npy"
         label_file = f"{scene.id}_label.npy"

@@ -106,6 +106,17 @@ class TestDetect:
         code, _, err = run(capsys, "detect", "--band", "Blue")
         assert code == 1
 
+    def test_bad_metric_flag_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        out = tmp_path / "edges.pgm"
+        code, stdout, err = run(
+            capsys, "detect",
+            "--input", str(corpus_dir / "synth_000010_image.npy"),
+            "--label", str(corpus_dir / "synth_000010_label.npy"),
+            "--band", "NIR", "--out", str(out), "--ssim-sigma", "0",
+        )
+        assert code == 1 and stdout == ""
+        assert "ssim_sigma must be > 0" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["canny", "sobel"])
     def test_memory_peak_of_scored_call(self, tmp_path, capsys, algorithm):
@@ -177,6 +188,20 @@ class TestEvaluate:
         )
         assert code == 2
         assert "duplicate image id" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--ssim-sigma", "0"), ("--uqi-window", "0"), ("--ssim-window", "4"), ("--uqi-window", "-2")],
+    )
+    def test_bad_metric_flag_is_usage_error(self, corpus_dir, tmp_path, capsys, flag, value):
+        out = tmp_path / "r"
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(corpus_dir / "manifest.json"),
+            "--experiment", "table1", "--out-dir", str(out), flag, value,
+        )
+        assert code == 1
+        assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
+        assert not (out / "records.csv").exists()
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(

@@ -27,7 +27,7 @@ from coastedge.harness import (
 )
 from coastedge.metrics import MetricParams, PreparedReference
 from coastedge.preprocess import PreprocessSpec, run_pipeline
-from coastedge.raster import Band, BandName, LabelMask
+from coastedge.raster import BandName, LabelMask
 from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 
 
@@ -55,9 +55,19 @@ class TestDeriveReference:
             assert (window != label.values[r, c]).any()
 
 
+def nir_cell(scene, algorithm, spec=PreprocessSpec(), canny_params=CannyParams(), reference=None):
+    """run_cell on the NIR band, preprocessed by `spec`, against the scene's reference."""
+    if reference is None:
+        reference = derive_reference(scene.label, canny_params)
+    processed = run_pipeline(scene.bands[BandName.NIR].samples, spec)
+    return run_cell(
+        scene, BandName.NIR, algorithm, spec, canny_params, MetricParams(), reference, processed
+    )
+
+
 class TestRunCell:
     def test_clean_cell_has_metrics(self, noisy_scene):
-        record = run_cell(noisy_scene, BandName.NIR, "canny", PreprocessSpec())
+        record = nir_cell(noisy_scene, "canny")
         assert record.error == ""
         assert record.image_id == noisy_scene.id
         assert math.isfinite(record.rmse)
@@ -65,33 +75,27 @@ class TestRunCell:
 
     def test_perfect_cell_has_infinite_psnr(self, clean_scene):
         # a scene whose band is the label itself reproduces the reference
-        reference = derive_reference(clean_scene.label)
-        record = run_cell(
+        record = nir_cell(
             clean_scene,
-            BandName.NIR,
             "canny",
             PreprocessSpec(equalize=False, noise_reduction="none"),
             CannyParams(smoothing=False),
-            reference=reference,
         )
         assert record.error == ""
         assert record.rmse == 0.0 and record.psnr == math.inf
 
     def test_preprocessed_band_and_prepared_reference(self, noisy_scene):
-        band = run_pipeline(noisy_scene.bands[BandName.NIR], PreprocessSpec())
-        reference = PreparedReference(derive_reference(noisy_scene.label), MetricParams())
+        plain = derive_reference(noisy_scene.label)
+        prepared = PreparedReference(plain, MetricParams())
         for algorithm in ("canny", "sobel"):
-            plain = run_cell(noisy_scene, BandName.NIR, algorithm, PreprocessSpec())
-            shared = run_cell(
-                noisy_scene, BandName.NIR, algorithm, PreprocessSpec(),
-                reference=reference, processed=band,
-            )
-            assert shared == plain
+            shared = nir_cell(noisy_scene, algorithm, reference=prepared)
+            assert shared == nir_cell(noisy_scene, algorithm, reference=plain)
+            assert shared.error == ""
 
     def test_failure_is_isolated(self, noisy_scene):
         bad_params = CannyParams(smooth_kernel_size=101)  # larger than the scene
-        record = run_cell(noisy_scene, BandName.NIR, "canny", PreprocessSpec(), bad_params)
-        assert record.error != ""
+        record = nir_cell(noisy_scene, "canny", canny_params=bad_params)
+        assert record.error.startswith("KernelTooLarge: ")
         assert math.isnan(record.rmse)
 
 
@@ -151,7 +155,7 @@ class TestRunExperiment:
 
     def test_records_canonically_sorted(self, small_corpus):
         result = run_experiment(small_corpus, ExperimentSpec.for_kind("table1"))
-        bands = [b.value for b in BandName.canonical_order()]
+        bands = [b.value for b in BandName]
         keys = [
             (r.image_id, bands.index(r.band_name), ["canny", "sobel", "scharr", "prewitt"].index(r.algorithm))
             for r in result.records

@@ -202,6 +202,32 @@ class TestSymmetry:
         assert set(compute_all(a, b)) == {"rmse", "psnr", "ssim", "uqi"}
 
 
+class TestMetricParams:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("ssim_window", 4),
+            ("ssim_window", 1),
+            ("ssim_window", -3),
+            ("ssim_sigma", 0.0),
+            ("ssim_sigma", -1.5),
+            ("ssim_sigma", math.nan),
+            ("uqi_window", 1),
+            ("uqi_window", 0),
+            ("uqi_window", -2),
+        ],
+    )
+    def test_rejected_at_construction(self, field, value):
+        with pytest.raises(ParamError, match=field):
+            MetricParams(**{field: value})
+
+    def test_smallest_valid_windows(self, rng):
+        params = MetricParams(ssim_window=3, ssim_sigma=0.1, uqi_window=2)
+        a, b = random_pair(rng)
+        values = compute_all(a, b, params)
+        assert all(math.isfinite(values[m]) for m in ("rmse", "ssim", "uqi"))
+
+
 class TestPreparedReference:
     def test_same_values_as_raw_reference(self, rng):
         params = MetricParams(ssim_window=7, uqi_window=5)

@@ -36,7 +36,7 @@ CANONICAL_NAMES = [
 
 class TestBandName:
     def test_canonical_order(self):
-        assert [b.value for b in BandName.canonical_order()] == CANONICAL_NAMES
+        assert [b.value for b in BandName] == CANONICAL_NAMES
 
     def test_from_string_unknown(self):
         with pytest.raises(ValueError, match="CoastalAerosol"):

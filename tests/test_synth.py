@@ -118,7 +118,7 @@ class TestGenerateScene:
         spec = SynthSpec(size=48, seed=0, boundary="halfplane", noise_sigma=0)
         scene = generate_scene(spec)
         band = run_pipeline(
-            scene.bands[BandName.NIR],
+            scene.bands[BandName.NIR].samples,
             PreprocessSpec(equalize=False, noise_reduction="none"),
         )
         edge = canny(band, CannyParams(smoothing=False))
