@@ -13,18 +13,16 @@ from pathlib import Path
 import numpy as np
 
 from .edgedetect import ALGORITHMS, CannyParams, detect
-from .errors import CoastEdgeError, CorpusError, IoError
+from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
 from .harness import (
+    REPORT_FILES,
     ExperimentSpec,
-    aggregate_records,
     derive_reference,
     emit_report,
     markdown_table,
-    read_records_csv,
+    read_run,
     run_experiment,
-    write_aggregates_csv,
-    write_plotdata_csv,
-    RunResult,
+    write_report,
 )
 from .metrics import MetricParams, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
@@ -109,7 +107,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True, help="corpus output directory")
 
     p = sub.add_parser("report", formatter_class=fmt, help="re-aggregate an existing records CSV")
-    p.add_argument("--records", required=True, help="records.csv from an evaluate run")
+    p.add_argument("--records", required=True, help="records.csv from an evaluate run, with its provenance.json beside it")
     p.add_argument("--format", choices=("markdown", "csv", "plotdata"), default="csv")
     p.add_argument("--out", required=True, help="output file path")
 
@@ -161,9 +159,18 @@ def cmd_detect(args) -> int:
 
     canny_params, metric_params = _canny_params(args), _metric_params(args)
 
-    # the image stack and the preprocessed band are freed before scoring,
-    # which is the memory peak of this call
-    processed = run_pipeline(_read_band(args.input, band_name).samples, _preprocess_spec(args))
+    samples = _read_band(args.input, band_name).samples
+    if args.label is not None:
+        label = LabelMask(read_npy(args.label))
+        if label.values.shape != samples.shape:
+            raise ShapeError(
+                f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}"
+            )
+
+    # the image stack and the band, raw and preprocessed, are freed before
+    # scoring, which is the memory peak of this call
+    processed = run_pipeline(samples, _preprocess_spec(args))
+    del samples
     edges = detect(processed, args.algorithm, canny_params)
     del processed
 
@@ -173,7 +180,6 @@ def cmd_detect(args) -> int:
         write_npy(edges.values, args.out)
 
     if args.label is not None:
-        label = LabelMask(read_npy(args.label))
         reference = derive_reference(label, canny_params)
         values = compute_all(edges, reference, metric_params)
         print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
@@ -230,41 +236,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
-    records = read_records_csv(args.records)
-    tags, algorithms = [], []
-    for r in records:
-        if r.preprocess_tag not in tags:
-            tags.append(r.preprocess_tag)
-        if r.algorithm not in algorithms:
-            algorithms.append(r.algorithm)
-    algorithms = [a for a in ALGORITHMS if a in algorithms] or list(ALGORITHMS)
-
-    # reconstruct a spec shell just to drive canonical aggregation ordering
-    kind = "table1" if len(tags) <= 1 else (
-        "equalization_ablation" if len(tags) == 2 else "noise_ablation"
-    )
-    variants = tuple(_spec_from_tag(tag) for tag in tags) or (PreprocessSpec(),)
-    spec = ExperimentSpec(kind=kind, algorithms=tuple(algorithms), preprocess_variants=variants)
-    rows = aggregate_records(records, spec)
-
-    if args.format == "csv":
-        write_aggregates_csv(rows, args.out)
-    elif args.format == "markdown":
-        Path(args.out).write_text(markdown_table(rows, tuple(algorithms)))
-    else:
-        result = RunResult(spec=spec, records=records, aggregate_rows=rows, provenance={})
-        write_plotdata_csv(result, args.out)
+    result = read_run(args.records)
+    formats = REPORT_FILES[result.spec.kind]
+    if args.format not in formats:
+        raise CliError(
+            f"{args.records}: a {result.spec.kind} run has no {args.format} report "
+            f"(it has {', '.join(formats)})"
+        )
+    write_report(result, args.format, args.out)
     return EXIT_OK
-
-
-def _spec_from_tag(tag: str) -> PreprocessSpec:
-    try:
-        eq_part, noise_part = tag.split(",")
-        equalize = eq_part.split("=")[1] == "on"
-        noise = noise_part.split("=")[1]
-        return PreprocessSpec(equalize=equalize, noise_reduction=noise)
-    except (ValueError, IndexError) as exc:
-        raise CliError(f"unrecognized preprocess tag {tag!r} in records") from exc
 
 
 _COMMANDS = {

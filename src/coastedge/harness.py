@@ -13,7 +13,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +30,7 @@ from .metrics import (
     compute_all,
 )
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import BandName, EdgeMap, LabelMask, Scene, load_manifest, load_scene, write_pgm
+from .raster import BandName, EdgeMap, LabelMask, Scene, load_manifest, load_scene
 
 EXPERIMENT_KINDS = ("table1", "equalization_ablation", "noise_ablation")
 
@@ -216,9 +216,9 @@ def _record_sort_key(spec: ExperimentSpec):
     def key(record: MetricRecord):
         return (
             record.image_id,
-            band_index.get(record.band_name, 99),
-            algo_index.get(record.algorithm, 99),
-            tag_index.get(record.preprocess_tag, 99),
+            band_index[record.band_name],
+            algo_index[record.algorithm],
+            tag_index[record.preprocess_tag],
         )
 
     return key
@@ -300,18 +300,8 @@ def run_experiment(manifest_path, spec: ExperimentSpec) -> RunResult:
         "experiment": spec.kind,
         "algorithms": list(spec.algorithms),
         "preprocess_variants": spec.variant_tags,
-        "canny": {
-            "low_threshold": spec.canny_params.low_threshold,
-            "high_threshold": spec.canny_params.high_threshold,
-            "smoothing": spec.canny_params.smoothing,
-            "smooth_kernel_size": spec.canny_params.smooth_kernel_size,
-            "smooth_sigma": spec.canny_params.smooth_sigma,
-        },
-        "metric_params": {
-            "ssim_window": spec.metric_params.ssim_window,
-            "ssim_sigma": spec.metric_params.ssim_sigma,
-            "uqi_window": spec.metric_params.uqi_window,
-        },
+        "canny": asdict(spec.canny_params),
+        "metric_params": asdict(spec.metric_params),
         "corpus_hash": corpus_hash(manifest_path),
         "n_images": len(entries),
         "n_records": len(records),
@@ -466,14 +456,9 @@ def markdown_table(rows: list, algorithms: tuple = ALGORITHMS, metrics=("psnr", 
     return "\n".join(lines) + "\n"
 
 
-def write_plotdata_csv(result: RunResult, path) -> None:
+def write_plotdata_csv(rows: list, tags: list, path) -> None:
     """One row per band, one mean-PSNR column per preprocessing variant."""
-    tags = result.spec.variant_tags
-    cells = {
-        (r["band"], r["preprocess"]): r
-        for r in result.aggregate_rows
-        if r["metric"] == "psnr"
-    }
+    cells = {(r["band"], r["preprocess"]): r for r in rows if r["metric"] == "psnr"}
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -488,35 +473,40 @@ def write_plotdata_csv(result: RunResult, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-_PLOTDATA_NAMES = {
-    "equalization_ablation": "fig5_equalization.csv",
-    "noise_ablation": "fig6_noise.csv",
+# report format -> file name, for each experiment kind; `evaluate` writes
+# all of them, and `report` re-creates any one
+REPORT_FILES = {
+    "table1": {"csv": "aggregates.csv", "markdown": "table1.md"},
+    "equalization_ablation": {"csv": "aggregates.csv", "plotdata": "fig5_equalization.csv"},
+    "noise_ablation": {"csv": "aggregates.csv", "plotdata": "fig6_noise.csv"},
 }
 
 
-def emit_report(result: RunResult, out_dir, formats=("csv", "markdown", "plotdata")) -> list[Path]:
-    """Write report files for an experiment; returns the paths written."""
+def write_report(result: RunResult, fmt: str, path) -> None:
+    """Write one of the run's `REPORT_FILES` formats to `path`."""
+    if fmt == "csv":
+        write_aggregates_csv(result.aggregate_rows, path)
+    elif fmt == "markdown":
+        Path(path).write_text(markdown_table(result.aggregate_rows, result.spec.algorithms))
+    else:
+        write_plotdata_csv(result.aggregate_rows, result.spec.variant_tags, path)
+
+
+def emit_report(result: RunResult, out_dir) -> list[Path]:
+    """Write an experiment's records, report files and provenance; returns the paths."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
 
-    written = []
-    if "csv" in formats:
-        records_path = out_dir / "records.csv"
-        write_records_csv(result.records, records_path)
-        aggregates_path = out_dir / "aggregates.csv"
-        write_aggregates_csv(result.aggregate_rows, aggregates_path)
-        written += [records_path, aggregates_path]
-    if "markdown" in formats and result.spec.kind == "table1":
-        table_path = out_dir / "table1.md"
-        table_path.write_text(markdown_table(result.aggregate_rows, result.spec.algorithms))
-        written.append(table_path)
-    if "plotdata" in formats and result.spec.kind in _PLOTDATA_NAMES:
-        plot_path = out_dir / _PLOTDATA_NAMES[result.spec.kind]
-        write_plotdata_csv(result, plot_path)
-        written.append(plot_path)
+    records_path = out_dir / "records.csv"
+    write_records_csv(result.records, records_path)
+    written = [records_path]
+    for fmt, name in REPORT_FILES[result.spec.kind].items():
+        path = out_dir / name
+        write_report(result, fmt, path)
+        written.append(path)
 
     provenance_path = out_dir / "provenance.json"
     provenance_path.write_text(json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
@@ -524,24 +514,47 @@ def emit_report(result: RunResult, out_dir, formats=("csv", "markdown", "plotdat
     return written
 
 
-def dump_band_edges(
-    scene: Scene,
-    algorithm: str,
-    preprocess_spec: PreprocessSpec,
-    out_dir,
-    canny_params: CannyParams = CannyParams(),
-) -> list[Path]:
-    """Write one edge-map PGM per band, filenames in canonical band order."""
-    out_dir = Path(out_dir)
+def read_run(records_path) -> RunResult:
+    """Read an `emit_report` directory back: records.csv and the provenance.json beside it.
+
+    The grid is the one `ExperimentSpec.for_kind` gives the provenance's
+    experiment kind. A provenance file that names another grid, or a record
+    outside the grid, is a `ParamError`.
+    """
+    records_path = Path(records_path)
+    provenance_path = records_path.with_name("provenance.json")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        provenance = json.loads(provenance_path.read_text())
     except OSError as exc:
-        raise IoError(f"cannot create {out_dir}: {exc}") from exc
-    paths = []
-    for i, name in enumerate(BandName):
-        processed = run_pipeline(scene.bands[name].samples, preprocess_spec)
-        edges = detect(processed, algorithm, canny_params)
-        path = out_dir / f"{i:02d}_{name.value}.pgm"
-        write_pgm(edges, path)
-        paths.append(path)
-    return paths
+        raise IoError(f"cannot read {provenance_path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ParamError(f"{provenance_path} is not valid JSON: {exc}") from exc
+    if not isinstance(provenance, dict):
+        raise ParamError(f"{provenance_path}: expected a JSON object")
+
+    kind = provenance.get("experiment")
+    if kind not in EXPERIMENT_KINDS:
+        raise ParamError(f"{provenance_path}: unknown experiment kind {kind!r}")
+    spec = ExperimentSpec.for_kind(kind)
+    grid = {"algorithms": list(spec.algorithms), "preprocess_variants": spec.variant_tags}
+    for key, expected in grid.items():
+        if provenance.get(key) != expected:
+            raise ParamError(
+                f"{provenance_path}: {key} {provenance.get(key)!r} is not the "
+                f"{spec.kind} grid's {expected!r}"
+            )
+
+    records = read_records_csv(records_path)
+    cells = {(b.value, a, t) for b in BandName for a in spec.algorithms for t in spec.variant_tags}
+    for r in records:
+        if (r.band_name, r.algorithm, r.preprocess_tag) not in cells:
+            raise ParamError(
+                f"{records_path}: record ({r.image_id}, {r.band_name}, {r.algorithm}, "
+                f"{r.preprocess_tag}) is outside the {spec.kind} grid"
+            )
+    return RunResult(
+        spec=spec,
+        records=records,
+        aggregate_rows=aggregate_records(records, spec),
+        provenance=provenance,
+    )

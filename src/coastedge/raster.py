@@ -103,14 +103,6 @@ class LabelMask:
             raise LabelError("label values must be strictly binary {0, 1}")
         object.__setattr__(self, "values", values.astype(np.uint8))
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class EdgeMap:
@@ -133,14 +125,6 @@ class EdgeMap:
             raise ValueError("binary edge map must only contain 0 and 255")
         object.__setattr__(self, "values", values)
 
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class Scene:
@@ -156,7 +140,7 @@ class Scene:
             raise BandCountError(f"scene {self.id}: missing bands {missing}")
         if len(self.bands) != 12:
             raise BandCountError(f"scene {self.id}: expected 12 bands, got {len(self.bands)}")
-        shape = (self.label.height, self.label.width)
+        shape = self.label.values.shape
         for name, band in self.bands.items():
             if band.samples.shape != shape:
                 raise ShapeError(
@@ -267,7 +251,8 @@ def write_npy(array: np.ndarray, path) -> None:
 def write_pgm(edge_map: EdgeMap, path) -> None:
     """Write an edge map as a binary (P5) PGM image, maxval 255."""
     values = edge_map.values
-    header = f"P5\n{edge_map.width} {edge_map.height}\n255\n"
+    height, width = values.shape
+    header = f"P5\n{width} {height}\n255\n"
     try:
         with open(path, "wb") as fh:
             fh.write(header.encode("ascii"))
@@ -338,13 +323,10 @@ def load_scene(entry: dict) -> Scene:
     label grid with nearest-neighbor interpolation.
     """
     image = read_npy(entry["image"])
-    label_arr = read_npy(entry["label"])
-    if label_arr.ndim != 2:
-        raise ShapeError(f"{entry['id']}: label must be 2D, got shape {label_arr.shape}")
     try:
-        label = LabelMask(label_arr)
-    except LabelError as exc:
-        raise LabelError(f"{entry['id']}: {exc}") from exc
+        label = LabelMask(read_npy(entry["label"]))
+    except (LabelError, ShapeError) as exc:
+        raise type(exc)(f"{entry['id']}: {exc}") from exc
 
     if image.ndim != 3:
         raise ShapeError(f"{entry['id']}: image must be HxWx12, got shape {image.shape}")
@@ -353,7 +335,7 @@ def load_scene(entry: dict) -> Scene:
             f"{entry['id']}: expected 12 bands on the last axis, got {image.shape[2]}"
         )
 
-    target = (label.height, label.width)
+    target = label.values.shape
     bands = {}
     for i, name in enumerate(BandName):
         plane = image[:, :, i].astype(np.float64)

@@ -2,13 +2,14 @@
 
 import csv
 import json
+import shutil
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from coastedge.cli import main
-from coastedge.raster import read_npy
+from coastedge.raster import read_npy, write_npy
 
 
 def run(capsys, *argv):
@@ -28,6 +29,28 @@ def corpus_dir(tmp_path, capsys):
     assert code == 0
     assert stdout.strip().endswith("manifest.json")
     return out
+
+
+@pytest.fixture(scope="module")
+def evaluated(tmp_path_factory):
+    """Report directories of `evaluate --experiment all` on a tiny corpus."""
+    base = tmp_path_factory.mktemp("evaluated")
+    assert main([
+        "synth", "--n", "2", "--size", "32", "--seed", "10", "--boundary", "halfplane",
+        "--noise-sigma", "150", "--out-dir", str(base / "corpus"),
+    ]) == 0
+    assert main([
+        "evaluate", "--manifest", str(base / "corpus" / "manifest.json"),
+        "--experiment", "all", "--out-dir", str(base / "out"),
+    ]) == 0
+    return base / "out"
+
+
+def copy_run(run_dir, dest, names=("records.csv", "provenance.json")):
+    dest.mkdir()
+    for name in names:
+        shutil.copy(run_dir / name, dest / name)
+    return dest
 
 
 class TestSynth:
@@ -116,6 +139,30 @@ class TestDetect:
         )
         assert code == 1 and stdout == ""
         assert "ssim_sigma must be > 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            (np.full((32, 32), 2, dtype=np.uint8), "strictly binary"),
+            (np.zeros((16, 32), dtype=np.uint8), "label shape (16, 32) != band shape (32, 32)"),
+        ],
+        ids=["non_binary", "other_shape"],
+    )
+    def test_bad_label_is_usage_error_before_output(
+        self, corpus_dir, tmp_path, capsys, label, message
+    ):
+        label_path = tmp_path / "label.npy"
+        write_npy(label, label_path)
+        out = tmp_path / "edges.pgm"
+        code, stdout, err = run(
+            capsys, "detect",
+            "--input", str(corpus_dir / "synth_000010_image.npy"),
+            "--label", str(label_path),
+            "--band", "NIR", "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert message in err
         assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["canny", "sobel"])
@@ -262,3 +309,103 @@ class TestReport:
             "--out", str(tmp_path / "x.csv"),
         )
         assert code == 2
+
+    # table1 csv and equalization plotdata are test_reaggregation_is_byte_identical
+    # and test_plotdata_output
+    @pytest.mark.parametrize(
+        "kind, fmt, name",
+        [
+            ("table1", "markdown", "table1.md"),
+            ("equalization_ablation", "csv", "aggregates.csv"),
+            ("noise_ablation", "csv", "aggregates.csv"),
+            ("noise_ablation", "plotdata", "fig6_noise.csv"),
+        ],
+    )
+    def test_same_bytes_as_evaluate(self, evaluated, tmp_path, capsys, kind, fmt, name):
+        out = tmp_path / "report.out"
+        code, _, _ = run(
+            capsys, "report", "--records", str(evaluated / kind / "records.csv"),
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 0
+        assert out.read_bytes() == (evaluated / kind / name).read_bytes()
+
+    @pytest.mark.parametrize(
+        "kind, fmt",
+        [
+            ("table1", "plotdata"),
+            ("equalization_ablation", "markdown"),
+            ("noise_ablation", "markdown"),
+        ],
+    )
+    def test_format_evaluate_does_not_write_is_usage_error(
+        self, evaluated, tmp_path, capsys, kind, fmt
+    ):
+        out = tmp_path / "report.out"
+        code, _, err = run(
+            capsys, "report", "--records", str(evaluated / kind / "records.csv"),
+            "--format", fmt, "--out", str(out),
+        )
+        assert code == 1
+        assert f"a {kind} run has no {fmt} report" in err
+        assert not out.exists()
+
+    def test_missing_provenance_is_io_error(self, evaluated, tmp_path, capsys):
+        run_dir = copy_run(evaluated / "table1", tmp_path / "run", names=("records.csv",))
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "report", "--records", str(run_dir / "records.csv"), "--out", str(out),
+        )
+        assert code == 2
+        assert "provenance.json" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("experiment", "table2", "unknown experiment kind 'table2'"),
+            ("algorithms", ["canny"], "algorithms ['canny'] is not the table1 grid's"),
+            (
+                "preprocess_variants",
+                ["eq=off,noise=gaussian"],
+                "preprocess_variants ['eq=off,noise=gaussian'] is not the table1 grid's",
+            ),
+        ],
+        ids=["experiment", "algorithms", "preprocess_variants"],
+    )
+    def test_provenance_outside_grid_is_usage_error(
+        self, evaluated, tmp_path, capsys, key, value, message
+    ):
+        run_dir = copy_run(evaluated / "table1", tmp_path / "run")
+        provenance = json.loads((run_dir / "provenance.json").read_text())
+        provenance[key] = value
+        (run_dir / "provenance.json").write_text(json.dumps(provenance))
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "report", "--records", str(run_dir / "records.csv"), "--out", str(out),
+        )
+        assert code == 1
+        assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [(1, "Thermal"), (2, "laplace"), (3, "eq=off,noise=gaussian")],
+        ids=["band", "algorithm", "preprocess"],
+    )
+    def test_record_outside_grid_is_usage_error(
+        self, evaluated, tmp_path, capsys, column, value
+    ):
+        run_dir = copy_run(evaluated / "table1", tmp_path / "run")
+        with open(run_dir / "records.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[-1][column] = value
+        with open(run_dir / "records.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "report", "--records", str(run_dir / "records.csv"), "--out", str(out),
+        )
+        assert code == 1
+        assert value in err and "is outside the table1 grid" in err
+        assert not out.exists()

@@ -16,7 +16,6 @@ from coastedge.harness import (
     aggregate_records,
     corpus_hash,
     derive_reference,
-    dump_band_edges,
     emit_report,
     format_mean_std,
     markdown_table,
@@ -28,7 +27,7 @@ from coastedge.harness import (
 from coastedge.metrics import MetricParams, PreparedReference
 from coastedge.preprocess import PreprocessSpec, run_pipeline
 from coastedge.raster import BandName, LabelMask
-from coastedge.synth import SynthSpec, generate_corpus, generate_scene
+from coastedge.synth import SynthSpec, generate_corpus
 
 
 class TestDeriveReference:
@@ -268,13 +267,3 @@ class TestEmitReport:
         assert rows[0] == ["band", "eq=on,noise=gaussian", "eq=off,noise=gaussian"]
         assert len(rows) == 13
         assert all(len(row) == 3 for row in rows)
-
-
-class TestDumpBandEdges:
-    def test_writes_all_bands(self, tmp_path):
-        scene = generate_scene(SynthSpec(size=24, seed=2, noise_sigma=100))
-        paths = dump_band_edges(scene, "canny", PreprocessSpec(), tmp_path / "edges")
-        assert len(paths) == 12
-        assert paths[0].name == "00_CoastalAerosol.pgm"
-        assert paths[7].name == "07_NIR.pgm"
-        assert all(p.exists() for p in paths)

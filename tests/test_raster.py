@@ -257,6 +257,12 @@ class TestLoadScene:
         with pytest.raises(LabelError, match="^chip: "):
             load_scene(_write_pair(tmp_path, image, label))
 
+    def test_3d_label(self, tmp_path, rng):
+        image = rng.integers(0, 100, size=(8, 8, 12)).astype(np.uint16)
+        label = np.zeros((8, 8, 1), dtype=np.uint8)
+        with pytest.raises(ShapeError, match="^chip: label must be 2D"):
+            load_scene(_write_pair(tmp_path, image, label))
+
     def test_wrong_band_count(self, tmp_path, rng):
         image = rng.integers(0, 100, size=(8, 8, 11)).astype(np.uint16)
         label = np.zeros((8, 8), dtype=np.uint8)
