@@ -26,7 +26,7 @@ from .harness import (
 )
 from .metrics import MetricParams, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import Band, BandName, LabelMask, read_npy, write_npy, write_pgm
+from .raster import BandName, LabelMask, check_samples, read_npy, write_npy, write_pgm
 from .synth import SynthSpec, generate_corpus
 
 EXIT_OK = 0
@@ -142,13 +142,12 @@ def _metric_params(args) -> MetricParams:
     )
 
 
-def _read_band(path, band_name: BandName) -> Band:
-    """One band of an HxWx12 image stack; the rest of the stack is not kept."""
+def _read_band(path, band_name: BandName) -> np.ndarray:
+    """One band of an HxWx12 image stack as checked float64 samples; the rest is not kept."""
     image = read_npy(path)
     if image.ndim != 3 or image.shape[2] != 12:
         raise CliError(f"{path}: expected an HxWx12 image stack, got shape {image.shape}")
-    index = list(BandName).index(band_name)
-    return Band(name=band_name, samples=image[:, :, index].astype(np.float64))
+    return check_samples(image[:, :, list(BandName).index(band_name)])
 
 
 def cmd_detect(args) -> int:
@@ -159,7 +158,7 @@ def cmd_detect(args) -> int:
 
     canny_params, metric_params = _canny_params(args), _metric_params(args)
 
-    samples = _read_band(args.input, band_name).samples
+    samples = _read_band(args.input, band_name)
     if args.label is not None:
         label = LabelMask(read_npy(args.label))
         if label.values.shape != samples.shape:

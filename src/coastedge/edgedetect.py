@@ -3,7 +3,9 @@
 All four correlate with 3x3 kernels over edge-replicated borders, through
 one separable core with integer weights: exact on integer-valued samples,
 and exactly flip- and transpose-symmetric on float ones. The detectors
-take plain 2D arrays; samples are validated once, where a raster is read.
+take plain arrays of shape (..., H, W) and treat each plane over the last
+two axes on its own, so a band stack and a single 2D band take the same
+code; samples are validated once, where a raster is read.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParamError
-from .preprocess import blur_array, round_half_up
+from .preprocess import blur_array, normalize_planes, round_half_up
 from .raster import EdgeMap
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
@@ -75,6 +77,11 @@ class GradientField:
     direction: np.ndarray
 
 
+def _pad_planes(image: np.ndarray) -> np.ndarray:
+    """Each plane (..., H, W) with a one-pixel edge-replicated border."""
+    return np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
+
+
 def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tuple:
     """gx and gy of a 3x3 pair from its separable form, edge-replicated borders.
 
@@ -85,11 +92,11 @@ def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tupl
     flipping or transposing the image flips or transposes gx and gy exactly.
     """
     s0, s1, _ = kernels.gx[:, 2].tolist()
-    padded = np.pad(np.asarray(image, dtype=np.float64), 1, mode="edge")
-    gx = padded[:, 2:] - padded[:, :-2]
-    gy = padded[2:, :] - padded[:-2, :]
-    gx = s0 * (gx[:-2] + gx[2:]) + s1 * gx[1:-1]
-    gy = s0 * (gy[:, :-2] + gy[:, 2:]) + s1 * gy[:, 1:-1]
+    padded = _pad_planes(np.asarray(image, dtype=np.float64))
+    gx = padded[..., :, 2:] - padded[..., :, :-2]
+    gy = padded[..., 2:, :] - padded[..., :-2, :]
+    gx = s0 * (gx[..., :-2, :] + gx[..., 2:, :]) + s1 * gx[..., 1:-1, :]
+    gy = s0 * (gy[..., :-2] + gy[..., 2:]) + s1 * gy[..., 1:-1]
     return gx, gy
 
 
@@ -104,17 +111,9 @@ def gradient_magnitude(image: np.ndarray, kernels: GradientKernelPair) -> np.nda
     return np.hypot(*_separable_gradients(image, kernels))
 
 
-def _normalize_magnitude(magnitude: np.ndarray) -> np.ndarray:
-    """Min-max map to the 0..255 float scale; all-constant fields map to 0."""
-    lo, hi = magnitude.min(), magnitude.max()
-    if hi == lo:
-        return np.zeros_like(magnitude)
-    return (magnitude - lo) / (hi - lo) * 255.0
-
-
 def magnitude_to_edgemap(magnitude: np.ndarray) -> EdgeMap:
-    """Quantize the normalized gradient magnitude to an 8-bit map."""
-    normalized = round_half_up(_normalize_magnitude(magnitude))
+    """Quantize each plane's normalized gradient magnitude to an 8-bit map."""
+    normalized = round_half_up(normalize_planes(magnitude))
     return EdgeMap(values=normalized.astype(np.uint8), kind="magnitude")
 
 
@@ -141,11 +140,11 @@ def _nms_mask(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
     A pixel survives when its magnitude is >= both directional neighbors
     (flat plateaus survive whole). Border neighbors are edge-replicated.
     """
-    padded = np.pad(magnitude, 1, mode="edge")
-    h, w = magnitude.shape
+    padded = _pad_planes(magnitude)
+    h, w = magnitude.shape[-2:]
 
     def shifted(dr, dc):
-        return padded[1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
+        return padded[..., 1 + dr : 1 + dr + h, 1 + dc : 1 + dc + w]
 
     sector = _direction_sector(direction)
 
@@ -161,7 +160,11 @@ def _nms_mask(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
     return keep
 
 
-_EIGHT_CONNECTED = np.ones((3, 3), dtype=bool)
+def _plane_neighbours(ndim: int) -> np.ndarray:
+    """8-connectivity within each plane (..., H, W), none across the leading axes."""
+    structure = np.zeros((3,) * ndim, dtype=bool)
+    structure[(1,) * (ndim - 2)] = True
+    return structure
 
 
 def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> EdgeMap:
@@ -178,13 +181,13 @@ def canny_debug(image: np.ndarray, params: CannyParams = CannyParams()):
     if params.smoothing:
         image = blur_array(image, params.smooth_kernel_size, params.smooth_sigma)
     field = gradient_field(image, SOBEL)
-    normalized = _normalize_magnitude(field.magnitude)
+    normalized = normalize_planes(field.magnitude)
     nms = _nms_mask(field.magnitude, field.direction)
 
     strong = nms & (normalized >= params.high_threshold)
     weak = nms & (normalized >= params.low_threshold) & ~strong
 
-    labels, count = ndimage.label(strong | weak, structure=_EIGHT_CONNECTED)
+    labels, count = ndimage.label(strong | weak, structure=_plane_neighbours(strong.ndim))
     if count:
         has_strong = np.zeros(count + 1, dtype=bool)
         has_strong[np.unique(labels[strong])] = True

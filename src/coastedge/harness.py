@@ -138,20 +138,18 @@ def run_cell(
     band_name: BandName,
     algorithm: str,
     preprocess_spec: PreprocessSpec,
-    canny_params: CannyParams,
     metric_params: MetricParams,
     reference: EdgeMap | PreparedReference,
-    processed: np.ndarray,
+    edges: np.ndarray,
 ) -> MetricRecord:
-    """Detect edges on one band and score them against the reference.
+    """Score one band's edge plane against the reference.
 
-    `processed` is the band's samples already run through `preprocess_spec`,
-    and `reference` the scene's reference edges, plain or prepared for
-    `metric_params`. A data or parameter fault comes back as a record with
-    the error field set, so one bad cell cannot abort a corpus run.
+    `edges` is the 2D edge map `algorithm` detected on the band after
+    `preprocess_spec`, and `reference` the scene's reference edges, plain or
+    prepared for `metric_params`. A data or parameter fault comes back as a
+    record with the error field set, so one bad cell cannot abort a corpus run.
     """
     try:
-        edges = detect(processed, algorithm, canny_params)
         values = compute_all(edges, reference, metric_params)
     except CELL_ERRORS as exc:
         return _error_record(scene.id, band_name, algorithm, preprocess_spec, exc)
@@ -164,12 +162,21 @@ def run_cell(
     )
 
 
+# Bands are preprocessed and detected in chunks of at most this many pixels and
+# at least one band: 6 bands of a 64x64 scene, 1 of a 256x256 one. One call per
+# chunk saves numpy's per-call cost on small chips; a bigger chunk only holds
+# more temporaries at once (12 bands of 64x64 ran no faster than 6).
+_CHUNK_PIXELS = 24_576
+
+
 def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
     """All grid cells for one corpus image (the parallel work unit).
 
-    The scene is loaded and its reference derived and prepared once; each
-    band is preprocessed once per variant, and every algorithm's cell
-    reuses that band and the prepared reference.
+    The scene is loaded and its reference derived and prepared once. Its
+    band stack is run in chunks of bands: each chunk is preprocessed once per
+    variant and detected once per algorithm, each stage treating every band
+    on its own, and each cell is then scored alone against the prepared
+    reference.
     """
     try:
         scene = load_scene(entry)
@@ -184,27 +191,29 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
             for variant in spec.preprocess_variants
         ]
 
+    bands = list(BandName)
+    per_chunk = max(1, _CHUNK_PIXELS // scene.label.values.size)
     records = []
-    for band in BandName:
+    for start in range(0, len(bands), per_chunk):
+        chunk = bands[start : start + per_chunk]
         for variant in spec.preprocess_variants:
             try:
-                processed = run_pipeline(scene.bands[band].samples, variant)
+                processed = run_pipeline(scene.stack[start : start + per_chunk], variant)
             except CELL_ERRORS as exc:
-                records += [_error_record(scene.id, band, a, variant, exc) for a in spec.algorithms]
+                records += [
+                    _error_record(scene.id, b, a, variant, exc) for b in chunk for a in spec.algorithms
+                ]
                 continue
             for algorithm in spec.algorithms:
-                records.append(
-                    run_cell(
-                        scene,
-                        band,
-                        algorithm,
-                        variant,
-                        spec.canny_params,
-                        spec.metric_params,
-                        reference,
-                        processed,
+                try:
+                    edges = detect(processed, algorithm, spec.canny_params)
+                except CELL_ERRORS as exc:
+                    records += [_error_record(scene.id, b, algorithm, variant, exc) for b in chunk]
+                    continue
+                for band, plane in zip(chunk, edges.values):
+                    records.append(
+                        run_cell(scene, band, algorithm, variant, spec.metric_params, reference, plane)
                     )
-                )
     return records
 
 
@@ -381,10 +390,11 @@ def write_records_csv(records: list, path) -> None:
 
 
 def read_records_csv(path) -> list:
-    """Parse a records CSV back into MetricRecord objects (exact floats)."""
-    def parse(cell: str) -> float:
-        return float(cell) if cell else math.nan
+    """Parse a records CSV back into MetricRecord objects (exact floats).
 
+    A wrong header, row length or metric cell is a `CorpusError` naming the
+    file and, for a row, its line number.
+    """
     try:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
@@ -394,20 +404,12 @@ def read_records_csv(path) -> list:
             records = []
             for row in reader:
                 if len(row) != len(RECORD_COLUMNS):
-                    raise CorpusError(f"{path}: malformed row {row}")
-                records.append(
-                    MetricRecord(
-                        image_id=row[0],
-                        band_name=row[1],
-                        algorithm=row[2],
-                        preprocess_tag=row[3],
-                        rmse=parse(row[4]),
-                        psnr=parse(row[5]),
-                        ssim=parse(row[6]),
-                        uqi=parse(row[7]),
-                        error=row[8],
-                    )
-                )
+                    raise CorpusError(f"{path}: row {reader.line_num}: malformed row {row}")
+                try:
+                    metrics = [float(cell) if cell else math.nan for cell in row[4:8]]
+                except ValueError as exc:
+                    raise CorpusError(f"{path}: row {reader.line_num}: {exc}") from exc
+                records.append(MetricRecord(*row[:4], *metrics, error=row[8]))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
     return records

@@ -1,6 +1,8 @@
 """Band preprocessing: min-max scaling, histogram equalization, noise reduction.
 
-Every step is a pure array -> array transform on 2D float64 samples.
+Every step is a pure array -> array transform on float64 samples of shape
+(..., H, W): each plane over the last two axes is processed on its own, so
+a band stack and a single 2D band take the same code.
 Quantization always uses round-half-up so results are bit-reproducible.
 """
 
@@ -47,27 +49,34 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
     return np.floor(np.asarray(x) + 0.5)
 
 
+def normalize_planes(image: np.ndarray) -> np.ndarray:
+    """Min-max map of each plane (..., H, W) to the 0..255 float scale; constant planes give 0."""
+    lo = image.min(axis=(-2, -1), keepdims=True)
+    span = image.max(axis=(-2, -1), keepdims=True) - lo
+    # a constant plane has image - lo == 0, so any nonzero span gives its zeros
+    return (image - lo) / np.where(span == 0, 1.0, span) * 255.0
+
+
 def scale_minmax(image: np.ndarray) -> np.ndarray:
-    """Linearly rescale samples to 0..255 integers. Constant images map to all zeros."""
-    lo, hi = image.min(), image.max()
-    if hi == lo:
-        return np.zeros_like(image)
-    return round_half_up((image - lo) / (hi - lo) * 255.0)
+    """Rescale each plane (..., H, W) to 0..255 integers. Constant planes map to all zeros."""
+    return round_half_up(normalize_planes(image))
 
 
 def equalize_histogram(image: np.ndarray) -> np.ndarray:
-    """Classic 256-bin CDF remap. Expects 0..255 integer samples."""
-    x = image.astype(np.int64)
-    hist = np.bincount(x.ravel(), minlength=256)
-    cdf = np.cumsum(hist)
-    occupied = np.nonzero(hist)[0]
-    cdf_min = cdf[occupied[0]]
-    n = x.size
-    if cdf_min == n:
-        # constant image: nothing to stretch
-        return image
-    remap = round_half_up((cdf - cdf_min) / (n - cdf_min) * 255.0)
-    return remap[x].astype(np.float64)
+    """Classic 256-bin CDF remap of each plane (..., H, W). Expects 0..255 integer samples.
+
+    One bincount serves every plane: plane p's samples are offset by 256 * p.
+    A constant plane is left as it is.
+    """
+    planes = image.reshape(-1, image.shape[-2] * image.shape[-1]).astype(np.int64)
+    count, n = planes.shape
+    bins = planes + 256 * np.arange(count)[:, None]
+    cdf = np.cumsum(np.bincount(bins.ravel(), minlength=256 * count).reshape(count, 256), axis=1)
+    cdf_min = cdf[np.arange(count), planes.min(axis=1)][:, None]
+    constant = cdf_min[:, 0] == n
+    remap = round_half_up((cdf - cdf_min) / np.where(constant[:, None], 1, n - cdf_min) * 255.0)
+    remap[constant] = np.arange(256)
+    return remap.ravel()[bins].reshape(image.shape)
 
 
 def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
@@ -80,22 +89,20 @@ def gaussian_kernel_1d(size: int, sigma: float) -> np.ndarray:
 
 
 def _correlate_rows(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """1D correlation along rows with edge replication, same output size."""
+    """1D correlation along the last axis with edge replication, same output size."""
     half = len(kernel) // 2
-    padded = np.pad(image, ((0, 0), (half, half)), mode="edge")
-    windows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=1)
+    padded = np.pad(image, [(0, 0)] * (image.ndim - 1) + [(half, half)], mode="edge")
+    windows = np.lib.stride_tricks.sliding_window_view(padded, len(kernel), axis=-1)
     return windows @ kernel
 
 
 def blur_array(image: np.ndarray, kernel_size: int, sigma: float) -> np.ndarray:
-    """Separable Gaussian blur of a 2D float array (no quantization)."""
-    if kernel_size > min(image.shape):
-        raise KernelTooLarge(
-            f"kernel {kernel_size} larger than image {image.shape}"
-        )
+    """Separable Gaussian blur of each plane (..., H, W) of a float array (no quantization)."""
+    if kernel_size > min(image.shape[-2:]):
+        raise KernelTooLarge(f"kernel {kernel_size} larger than image {image.shape[-2:]}")
     k = gaussian_kernel_1d(kernel_size, sigma)
     out = _correlate_rows(image, k)
-    out = _correlate_rows(out.T, k).T
+    out = _correlate_rows(out.swapaxes(-1, -2), k).swapaxes(-1, -2)
     return out
 
 
@@ -106,17 +113,18 @@ def gaussian_blur(image: np.ndarray, kernel_size: int = 5, sigma: float = 1.0) -
 
 
 def morphological_closing(image: np.ndarray, element_size: int = 3) -> np.ndarray:
-    """Grayscale closing: window max (dilation) then window min (erosion).
+    """Grayscale closing of each plane (..., H, W): window max, then window min.
 
     Square element, edge-replicated borders.
     """
     if element_size < 3 or element_size % 2 == 0:
         raise ParamError("closing element must be odd and >= 3")
-    return ndimage.grey_closing(image, size=element_size, mode="nearest")
+    size = (1,) * (image.ndim - 2) + (element_size, element_size)
+    return ndimage.grey_closing(image, size=size, mode="nearest")
 
 
 def run_pipeline(image: np.ndarray, spec: PreprocessSpec) -> np.ndarray:
-    """Apply scale -> (equalize) -> (noise reduction) in order."""
+    """Apply scale -> (equalize) -> (noise reduction) in order to each plane (..., H, W)."""
     out = scale_minmax(image)
     if spec.equalize:
         out = equalize_histogram(out)

@@ -65,28 +65,16 @@ class BandName(Enum):
         return "".join(out)
 
 
-@dataclass(frozen=True)
-class Band:
-    """One grayscale raster plane as read from a chip, with its band identity.
-
-    Built only where samples enter the toolkit; every later stage takes
-    `samples`, a plain 2D float64 array, as validated here.
-    """
-
-    name: BandName
-    samples: np.ndarray  # 2D float64, row-major
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=np.float64)
-        object.__setattr__(self, "samples", samples)
-        if samples.ndim != 2:
-            raise ShapeError(f"band samples must be 2D, got shape {samples.shape}")
-        if samples.shape[0] < 3 or samples.shape[1] < 3:
-            raise ShapeError(f"band must be at least 3x3, got {samples.shape}")
-        if not np.all(np.isfinite(samples)):
-            raise ValueError("band samples must be finite")
-        if np.any(samples < 0):
-            raise ValueError("band samples must be non-negative")
+def check_samples(samples) -> np.ndarray:
+    """Band samples as float64 planes (..., H, W), each at least 3x3, finite and non-negative."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim < 2 or min(samples.shape[-2:]) < 3:
+        raise ShapeError(f"band must be at least 3x3, got {samples.shape[-2:]}")
+    if not np.isfinite(samples).all():
+        raise ValueError("band samples must be finite")
+    if (samples < 0).any():
+        raise ValueError("band samples must be non-negative")
+    return samples
 
 
 @dataclass(frozen=True)
@@ -106,15 +94,18 @@ class LabelMask:
 
 @dataclass(frozen=True)
 class EdgeMap:
-    """8-bit edge image: binary for Canny/reference, magnitude for gradients."""
+    """8-bit edge image: binary for Canny/reference, magnitude for gradients.
 
-    values: np.ndarray  # 2D uint8
+    A detector run on a band stack gives one map of its planes, (..., H, W).
+    """
+
+    values: np.ndarray  # (..., H, W) uint8
     kind: str = "binary"  # "binary" | "magnitude"
 
     def __post_init__(self):
         values = np.asarray(self.values)
-        if values.ndim != 2:
-            raise ShapeError(f"edge map must be 2D, got shape {values.shape}")
+        if values.ndim < 2:
+            raise ShapeError(f"edge map must be at least 2D, got shape {values.shape}")
         if values.dtype != np.uint8:
             if np.any(values < 0) or np.any(values > 255):
                 raise ValueError("edge map values must be within 0..255")
@@ -128,25 +119,24 @@ class EdgeMap:
 
 @dataclass(frozen=True)
 class Scene:
-    """An aligned 12-band stack plus its binary land/water label."""
+    """An aligned 12-band stack plus its binary land/water label.
+
+    `stack` has shape (12, H, W), band i being the i-th `BandName`, and is
+    validated here once; every later stage takes plain arrays.
+    """
 
     id: str
-    bands: dict  # BandName -> Band
+    stack: np.ndarray  # (12, H, W) float64, row-major
     label: LabelMask
 
     def __post_init__(self):
-        missing = [b for b in BandName if b not in self.bands]
-        if missing:
-            raise BandCountError(f"scene {self.id}: missing bands {missing}")
-        if len(self.bands) != 12:
-            raise BandCountError(f"scene {self.id}: expected 12 bands, got {len(self.bands)}")
+        stack = check_samples(self.stack)
+        object.__setattr__(self, "stack", stack)
+        if stack.ndim != 3 or len(stack) != 12:
+            raise BandCountError(f"scene {self.id}: expected 12 bands, got shape {stack.shape}")
         shape = self.label.values.shape
-        for name, band in self.bands.items():
-            if band.samples.shape != shape:
-                raise ShapeError(
-                    f"scene {self.id}: band {name.value} shape {band.samples.shape} "
-                    f"!= label shape {shape}"
-                )
+        if stack.shape[1:] != shape:
+            raise ShapeError(f"scene {self.id}: band shape {stack.shape[1:]} != label shape {shape}")
 
 
 # ---------------------------------------------------------------------------
@@ -308,16 +298,16 @@ def load_manifest(path) -> list[dict]:
 
 
 def _resample_nearest(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resample of a 2D array to the given (H, W)."""
-    in_h, in_w = array.shape
+    """Nearest-neighbor resample of the last two axes of an array to the given (H, W)."""
+    in_h, in_w = array.shape[-2:]
     out_h, out_w = shape
     rows = np.minimum((np.arange(out_h) * in_h // out_h), in_h - 1)
     cols = np.minimum((np.arange(out_w) * in_w // out_w), in_w - 1)
-    return array[np.ix_(rows, cols)]
+    return array[..., rows[:, None], cols]
 
 
 def load_scene(entry: dict) -> Scene:
-    """Load one manifest entry into a Scene with 12 named bands.
+    """Load one manifest entry into a Scene with a (12, H, W) band stack.
 
     Band planes whose shape differs from the label are resampled to the
     label grid with nearest-neighbor interpolation.
@@ -335,11 +325,7 @@ def load_scene(entry: dict) -> Scene:
             f"{entry['id']}: expected 12 bands on the last axis, got {image.shape[2]}"
         )
 
-    target = label.values.shape
-    bands = {}
-    for i, name in enumerate(BandName):
-        plane = image[:, :, i].astype(np.float64)
-        if plane.shape != target:
-            plane = _resample_nearest(plane, target)
-        bands[name] = Band(name=name, samples=plane)
-    return Scene(id=entry["id"], bands=bands, label=label)
+    stack = np.moveaxis(image, 2, 0).astype(np.float64, order="C")
+    if stack.shape[1:] != label.values.shape:
+        stack = _resample_nearest(stack, label.values.shape)
+    return Scene(id=entry["id"], stack=stack, label=label)

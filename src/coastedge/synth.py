@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ParamError
-from .raster import Band, BandName, LabelMask, Scene, write_npy
+from .raster import BandName, LabelMask, Scene, write_npy
 
 # default (land, water) raw intensities per band, loosely sentinel-2 flavored:
 # water bright in the short wavelengths, land bright in NIR/SWIR
@@ -126,8 +126,9 @@ def generate_scene(spec: SynthSpec) -> Scene:
     rng = np.random.default_rng(np.random.PCG64(spec.seed))
     rects = _development_rectangles(spec, rng)
 
-    bands = {}
-    for name in BandName:
+    # band by band, so temporaries stay one plane in size
+    stack = np.empty((len(BandName),) + land.shape)
+    for name, plane in zip(BandName, stack):
         land_mean, water_mean = spec.class_means[name]
         mid = 0.5 * (land_mean + water_mean)
         land_mean = mid + (land_mean - mid) * spec.contrast
@@ -140,9 +141,8 @@ def generate_scene(spec: SynthSpec) -> Scene:
             samples[block] = np.where(
                 land[block], DEVELOPMENT_INTENSITY, samples[block]
             )
-        samples = np.clip(np.round(samples), 0.0, 65535.0)
-        bands[name] = Band(name=name, samples=samples)
-    return Scene(id=f"synth_{spec.seed:06d}", bands=bands, label=label)
+        plane[...] = np.clip(np.round(samples), 0.0, 65535.0)
+    return Scene(id=f"synth_{spec.seed:06d}", stack=stack, label=label)
 
 
 def generate_corpus(n: int, base_spec: SynthSpec, out_dir) -> Path:
@@ -162,9 +162,7 @@ def generate_corpus(n: int, base_spec: SynthSpec, out_dir) -> Path:
     for i in range(n):
         spec = replace(base_spec, seed=base_spec.seed + i)
         scene = generate_scene(spec)
-        stack = np.stack(
-            [scene.bands[name].samples for name in BandName], axis=-1
-        ).astype(np.uint16)
+        stack = np.moveaxis(scene.stack, 0, -1).astype(np.uint16, order="C")
         image_file = f"{scene.id}_image.npy"
         label_file = f"{scene.id}_label.npy"
         write_npy(stack, out_dir / image_file)

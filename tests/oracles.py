@@ -1,10 +1,11 @@
 """Brute-force reference implementations used to check the optimized code.
 
-These are written from the metric/convolution definitions directly, with
-plain nested loops, and deliberately share no code with the package.
+These are written from the metric/convolution/Canny definitions directly,
+with plain nested loops, and deliberately share no code with the package.
 """
 
 import math
+from collections import deque
 
 import numpy as np
 
@@ -125,3 +126,114 @@ def uqi_direct(a, b, window=8):
     if not values:
         return 0.0
     return float(np.mean(values))
+
+
+def blur_loops(image, size, sigma):
+    """Sampled-Gaussian blur from the definition: 2D weighted sum, edge-clamped."""
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    half = size // 2
+    weights = [math.exp(-(i * i) / (2.0 * sigma * sigma)) for i in range(-half, half + 1)]
+    total = sum(weights)
+    weights = [x / total for x in weights]
+    out = np.zeros((h, w))
+    for r in range(h):
+        for c in range(w):
+            acc = 0.0
+            for i in range(size):
+                for j in range(size):
+                    rr = min(max(r + i - half, 0), h - 1)
+                    cc = min(max(c + j - half, 0), w - 1)
+                    acc += weights[i] * weights[j] * image[rr, cc]
+            out[r, c] = acc
+    return out
+
+
+def equalize_loops(image):
+    """256-bin histogram equalization from the definition, one pixel at a time.
+
+    cdf_min is the cumulative count of the lowest occupied level; a constant
+    image is returned unchanged.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    h, w = image.shape
+    n = h * w
+    hist = [0] * 256
+    for r in range(h):
+        for c in range(w):
+            hist[int(image[r, c])] += 1
+    cdf, running = [], 0
+    for count in hist:
+        running += count
+        cdf.append(running)
+    cdf_min = next(cdf[level] for level in range(256) if hist[level])
+    if cdf_min == n:
+        return image.copy()
+    out = np.zeros((h, w))
+    for r in range(h):
+        for c in range(w):
+            level = int(image[r, c])
+            out[r, c] = math.floor((cdf[level] - cdf_min) / (n - cdf_min) * 255.0 + 0.5)
+    return out
+
+
+def sector_loops(theta):
+    """Canny's 4 direction sectors of one atan2 angle: 0, 45, 90 or 135 degrees +- 22.5."""
+    angle = math.degrees(theta) % 180.0
+    if angle < 22.5 or angle >= 157.5:
+        return 0
+    if angle < 67.5:
+        return 1
+    if angle < 112.5:
+        return 2
+    return 3
+
+
+# neighbours along the gradient, per sector; rows point down, so a 45-degree
+# gradient (gx > 0, gy > 0) runs from the upper-left to the lower-right pixel
+_SECTOR_STEPS = {0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, -1)}
+
+
+def nms_loops(magnitude, direction):
+    """Non-maximum suppression, one pixel at a time: a pixel stays when its
+    magnitude is >= both neighbours along its sector, edge-clamped."""
+    h, w = magnitude.shape
+    keep = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            dr, dc = _SECTOR_STEPS[sector_loops(direction[r, c])]
+            ahead = magnitude[min(max(r + dr, 0), h - 1), min(max(c + dc, 0), w - 1)]
+            behind = magnitude[min(max(r - dr, 0), h - 1), min(max(c - dc, 0), w - 1)]
+            keep[r, c] = magnitude[r, c] >= ahead and magnitude[r, c] >= behind
+    return keep
+
+
+def hysteresis_bfs(magnitude, nms, low, high):
+    """Canny's double threshold and hysteresis from the definition.
+
+    The magnitude is min-max normalized to 0..255 (all zeros when constant).
+    Suppressed pixels reaching `high` are strong and those reaching `low`
+    weak; a breadth-first search over 8-neighbours from every strong pixel
+    keeps the weak pixels it reaches through strong or weak ones.
+    """
+    h, w = magnitude.shape
+    lo, hi = float(magnitude.min()), float(magnitude.max())
+    candidate = np.zeros((h, w), dtype=bool)
+    queue = deque()
+    keep = np.zeros((h, w), dtype=bool)
+    for r in range(h):
+        for c in range(w):
+            value = 0.0 if hi == lo else (magnitude[r, c] - lo) / (hi - lo) * 255.0
+            candidate[r, c] = nms[r, c] and value >= low
+            if nms[r, c] and value >= high:
+                keep[r, c] = True
+                queue.append((r, c))
+    while queue:
+        r, c = queue.popleft()
+        for dr in (-1, 0, 1):
+            for dc in (-1, 0, 1):
+                rr, cc = r + dr, c + dc
+                if 0 <= rr < h and 0 <= cc < w and candidate[rr, cc] and not keep[rr, cc]:
+                    keep[rr, cc] = True
+                    queue.append((rr, cc))
+    return keep

@@ -84,7 +84,7 @@ def test_criterion_2_canny_structure():
                 sinusoid_amplitude=6.0, sinusoid_period=24.0, noise_sigma=sigma,
             )
             scene = generate_scene(spec)
-            band = run_pipeline(scene.bands[BandName.NIR].samples, PreprocessSpec())
+            band = run_pipeline(scene.stack[list(BandName).index(BandName.NIR)], PreprocessSpec())
             edge, debug = canny_debug(band, params)
             on = edge.values == 255
 

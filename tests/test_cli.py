@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from coastedge.cli import main
-from coastedge.raster import read_npy, write_npy
+from coastedge.edgedetect import ALGORITHMS
+from coastedge.raster import BandName, read_npy, write_npy
 
 
 def run(capsys, *argv):
@@ -224,6 +225,41 @@ class TestEvaluate:
         assert "failed" in err
         assert (tmp_path / "r" / "records.csv").exists()
 
+    def test_too_small_chip_error_records(self, tmp_path, capsys):
+        # a 4x4 chip is too small for the 5-wide Gaussian blur of preprocessing
+        # and of Canny: every cell is an error record naming the band's (H, W)
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        rng = np.random.default_rng(4)
+        write_npy(rng.integers(0, 4000, size=(4, 4, 12)).astype(np.uint16), corpus / "c_image.npy")
+        write_npy(np.repeat([[0, 0, 1, 1]], 4, axis=0).astype(np.uint8), corpus / "c_label.npy")
+        (corpus / "manifest.json").write_text(json.dumps({
+            "band_order": [b.value for b in BandName],
+            "images": [{"id": "c", "image": "c_image.npy", "label": "c_label.npy"}],
+        }))
+        out = tmp_path / "r"
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(corpus / "manifest.json"),
+            "--experiment", "all", "--out-dir", str(out),
+        )
+        assert code == 3
+        message = "KernelTooLarge: kernel 5 larger than image (4, 4)"
+        grids = {
+            "table1": (ALGORITHMS, ["eq=on,noise=gaussian"]),
+            "equalization_ablation": (["canny"], ["eq=on,noise=gaussian", "eq=off,noise=gaussian"]),
+            "noise_ablation": (["canny"], ["eq=on,noise=none", "eq=on,noise=gaussian", "eq=on,noise=closing"]),
+        }
+        for kind, (algorithms, tags) in grids.items():
+            with open(out / kind / "records.csv", newline="") as fh:
+                rows = list(csv.reader(fh))[1:]
+            assert rows == [
+                ["c", band.value, algorithm, tag, "", "", "", "", message]
+                for band in BandName
+                for algorithm in algorithms
+                for tag in tags
+            ], kind
+        assert "48 cell(s) failed in table1" in err
+
     def test_duplicate_manifest_ids_are_io_error(self, corpus_dir, tmp_path, capsys):
         manifest = corpus_dir / "manifest.json"
         doc = json.loads(manifest.read_text())
@@ -386,6 +422,22 @@ class TestReport:
         )
         assert code == 1
         assert message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("column", [4, 5, 6, 7], ids=["rmse", "psnr", "ssim", "uqi"])
+    def test_non_numeric_metric_is_io_error(self, evaluated, tmp_path, capsys, column):
+        run_dir = copy_run(evaluated / "table1", tmp_path / "run")
+        with open(run_dir / "records.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        rows[5][column] = "abc"
+        with open(run_dir / "records.csv", "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "report", "--records", str(run_dir / "records.csv"), "--out", str(out),
+        )
+        assert code == 2
+        assert f"{run_dir / 'records.csv'}: row 6: " in err and "'abc'" in err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -19,8 +19,10 @@ from coastedge.edgedetect import (
     magnitude_to_edgemap,
 )
 from coastedge.errors import ParamError
+from coastedge.preprocess import PreprocessSpec, blur_array, run_pipeline
+from coastedge.synth import SynthSpec, generate_scene
 
-from oracles import convolve2d_loops
+from oracles import convolve2d_loops, hysteresis_bfs, nms_loops
 
 
 def band_of(values):
@@ -244,7 +246,7 @@ class TestCanny:
         from coastedge.raster import BandName
 
         params = CannyParams()
-        band = run_pipeline(noisy_scene.bands[BandName.NIR].samples, PreprocessSpec())
+        band = run_pipeline(noisy_scene.stack[list(BandName).index(BandName.NIR)], PreprocessSpec())
         edge, debug = canny_debug(band, params)
         on = edge.values == 255
         assert np.isin(edge.values, (0, 255)).all()
@@ -258,6 +260,23 @@ class TestCanny:
         for lbl in range(1, count + 1):
             assert lbl in strong_labels
 
+    def test_hysteresis_does_not_link_planes(self):
+        # plane 0's strong edge lies on the pixels of plane 1's weak edge
+        strong = np.zeros((24, 24))
+        strong[:, 16:] = 255.0
+        weak = np.zeros((24, 24))
+        weak[:, 6:] = 255.0
+        weak[:, 16:] += 80.0
+        stack = band_of([strong, weak])
+        edges, debug = canny_debug(stack, CannyParams())
+        _, alone = canny_debug(weak, CannyParams())
+        column = alone["normalized_magnitude"][:, 16]
+        assert ((column >= 50) & (column < 150)).all()
+        assert (edges.values[0][:, 16] == 255).all()
+        assert (edges.values[1][:, 14:19] == 0).all()
+        for plane, got in zip(stack, edges.values):
+            np.testing.assert_array_equal(got, canny(plane).values)
+
     def test_param_validation(self):
         with pytest.raises(ParamError):
             CannyParams(low_threshold=0)
@@ -265,6 +284,70 @@ class TestCanny:
             CannyParams(low_threshold=200, high_threshold=100)
         with pytest.raises(ParamError):
             CannyParams(high_threshold=300)
+
+
+def near_tie_stacks():
+    """Band stacks of noise-free scenes with development rectangles.
+
+    Neighbouring Canny magnitudes along their blurred straight edges tie or
+    differ by less than one ulp, so suppression hangs on `>=` and on which
+    neighbours are compared. Each scene gives its preprocessed 12-band stack
+    under two variants and its label x 255, the reference's input.
+    """
+    for boundary in ("halfplane", "blob", "sinusoid"):
+        scene = generate_scene(
+            SynthSpec(
+                size=32, seed=1, boundary=boundary, noise_sigma=0.0,
+                sinusoid_amplitude=6.0, sinusoid_period=16.0,
+                development_count=2, development_size=6,
+            )
+        )
+        yield run_pipeline(scene.stack, PreprocessSpec())
+        yield run_pipeline(scene.stack, PreprocessSpec(equalize=False, noise_reduction="closing"))
+        yield scene.label.values[None] * 255.0
+
+
+# defaults, then non-default --canny-low/high and --canny-smooth-* values
+ORACLE_PARAMS = [
+    CannyParams(),
+    CannyParams(low_threshold=10.0, high_threshold=40.0, smooth_kernel_size=3, smooth_sigma=0.8),
+    CannyParams(low_threshold=100.0, high_threshold=101.0, smooth_kernel_size=7, smooth_sigma=2.5),
+    CannyParams(low_threshold=1.0, high_threshold=255.0, smoothing=False),
+]
+
+
+class TestCannyOracle:
+    """Canny's suppression and hysteresis against the per-pixel oracles.
+
+    The oracles take the toolkit's own gradient field, so a near-tie is
+    decided on the same bits; the gradient core has its own oracle above.
+    """
+
+    @pytest.mark.parametrize("params", ORACLE_PARAMS, ids=["default", "low", "narrow", "unsmoothed"])
+    def test_stack_planes_match_oracles(self, rng, params):
+        noisy = rng.integers(0, 256, size=(3, 20, 23)).astype(float)
+        for stack in [*near_tie_stacks(), noisy]:
+            edges, debug = canny_debug(stack, params)
+            for i, plane in enumerate(stack):
+                if params.smoothing:
+                    plane = blur_array(plane, params.smooth_kernel_size, params.smooth_sigma)
+                field = gradient_field(plane, SOBEL)
+                nms = nms_loops(field.magnitude, field.direction)
+                np.testing.assert_array_equal(debug["nms_mask"][i], nms)
+                keep = hysteresis_bfs(field.magnitude, nms, params.low_threshold, params.high_threshold)
+                np.testing.assert_array_equal(edges.values[i], np.where(keep, 255, 0))
+
+    def test_oracle_sees_near_ties(self):
+        # the near-tie stacks hold nonzero magnitudes equal to their right-hand
+        # neighbour's, and ones that differ from it by less than 1e-9
+        ties = near = 0
+        for stack in near_tie_stacks():
+            field = gradient_field(blur_array(stack, 5, 1.4), SOBEL)
+            padded = np.pad(field.magnitude, ((0, 0), (0, 0), (1, 1)), mode="edge")
+            diff = field.magnitude - padded[..., 2:]
+            ties += int(((diff == 0) & (field.magnitude > 0)).sum())
+            near += int(((diff != 0) & (np.abs(diff) < 1e-9)).sum())
+        assert ties > 0 and near > 0
 
 
 class TestDetect:

@@ -1,16 +1,18 @@
 """Experiment harness tests: reference derivation, grids, reports."""
 
 import csv
+import json
 import math
 
 import numpy as np
 import pytest
 
 from coastedge import harness
-from coastedge.edgedetect import CannyParams
+from coastedge.edgedetect import ALGORITHMS, CannyParams, detect
 from coastedge.errors import ParamError
 from coastedge.harness import (
     AGGREGATE_COLUMNS,
+    EXPERIMENT_KINDS,
     RECORD_COLUMNS,
     ExperimentSpec,
     aggregate_records,
@@ -26,8 +28,8 @@ from coastedge.harness import (
 )
 from coastedge.metrics import MetricParams, PreparedReference
 from coastedge.preprocess import PreprocessSpec, run_pipeline
-from coastedge.raster import BandName, LabelMask
-from coastedge.synth import SynthSpec, generate_corpus
+from coastedge.raster import BandName, LabelMask, load_manifest, load_scene, write_npy
+from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 
 
 class TestDeriveReference:
@@ -54,14 +56,15 @@ class TestDeriveReference:
             assert (window != label.values[r, c]).any()
 
 
+NIR = list(BandName).index(BandName.NIR)
+
+
 def nir_cell(scene, algorithm, spec=PreprocessSpec(), canny_params=CannyParams(), reference=None):
-    """run_cell on the NIR band, preprocessed by `spec`, against the scene's reference."""
+    """run_cell on the NIR band's edges after `spec`, against the scene's reference."""
     if reference is None:
         reference = derive_reference(scene.label, canny_params)
-    processed = run_pipeline(scene.bands[BandName.NIR].samples, spec)
-    return run_cell(
-        scene, BandName.NIR, algorithm, spec, canny_params, MetricParams(), reference, processed
-    )
+    edges = detect(run_pipeline(scene.stack[NIR], spec), algorithm, canny_params)
+    return run_cell(scene, BandName.NIR, algorithm, spec, MetricParams(), reference, edges.values)
 
 
 class TestRunCell:
@@ -92,9 +95,14 @@ class TestRunCell:
             assert shared.error == ""
 
     def test_failure_is_isolated(self, noisy_scene):
-        bad_params = CannyParams(smooth_kernel_size=101)  # larger than the scene
-        record = nir_cell(noisy_scene, "canny", canny_params=bad_params)
-        assert record.error.startswith("KernelTooLarge: ")
+        # a reference prepared for windows larger than the scene
+        reference = PreparedReference(derive_reference(noisy_scene.label), MetricParams(ssim_window=101))
+        edges = detect(run_pipeline(noisy_scene.stack[NIR], PreprocessSpec()), "sobel")
+        record = run_cell(
+            noisy_scene, BandName.NIR, "sobel", PreprocessSpec(), MetricParams(ssim_window=101),
+            reference, edges.values,
+        )
+        assert record.error == "WindowError: image (64, 64) smaller than SSIM window 101"
         assert math.isnan(record.rmse)
 
 
@@ -113,6 +121,79 @@ class TestFaultIsolation:
         result = run_experiment(manifest, spec)
         assert len(result.records) == 12 * 4
         assert all(r.error.startswith("KernelTooLarge: ") for r in result.records)
+
+
+def independence_scene(tmp_path, size=48):
+    """A noisy scene whose stack holds a constant band, an all-zero band, and
+    a band whose strong edge runs over another band's weak one, on disk."""
+    scene = generate_scene(SynthSpec(size=size, seed=21, boundary="halfplane", noise_sigma=300.0))
+    stack = scene.stack.copy()
+    stack[0] = 500.0
+    stack[1] = 0.0
+    stack[2] = 0.0
+    stack[2][:, size // 2 :] = 4000.0
+    stack[3] = 0.0
+    stack[3][:, size // 5 :] = 4000.0
+    stack[3][:, size // 2 :] += 1200.0
+    entry = {"id": scene.id, "image": "image.npy", "label": "label.npy"}
+    write_npy(np.moveaxis(stack, 0, -1).astype(np.uint16), tmp_path / "image.npy")
+    write_npy(scene.label.values, tmp_path / "label.npy")
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"band_order": [b.value for b in BandName], "images": [entry]}))
+    return manifest
+
+
+class TestBandIndependence:
+    """Every stage treats each band of a stack on its own: a band in a stack
+    or chunk gives what it gives alone, as a 1-band stack."""
+
+    @pytest.mark.parametrize("size", [48, 64])
+    def test_planes_equal_one_band_stacks(self, tmp_path, size):
+        manifest = independence_scene(tmp_path, size)
+        scene = load_scene(load_manifest(manifest)[0])
+        per_chunk = max(1, harness._CHUNK_PIXELS // size**2)
+        if size == 48:  # the harness splits the 12 bands into chunks of unequal size
+            assert 12 % per_chunk
+        chunks = [scene.stack, scene.stack[:per_chunk], scene.stack[per_chunk:]]
+        variants = {v for kind in EXPERIMENT_KINDS for v in ExperimentSpec.for_kind(kind).preprocess_variants}
+        for variant in variants:
+            alone = [run_pipeline(scene.stack[i : i + 1], variant) for i in range(12)]
+            processed = [run_pipeline(chunk, variant) for chunk in chunks]
+            np.testing.assert_array_equal(processed[0], np.concatenate(alone))
+            np.testing.assert_array_equal(np.concatenate(processed[1:]), processed[0])
+            for algorithm in ALGORITHMS:
+                edges = detect(processed[0], algorithm).values
+                for i, plane in enumerate(alone):
+                    np.testing.assert_array_equal(edges[i], detect(plane, algorithm).values[0])
+                chunked = [detect(p, algorithm).values for p in processed[1:]]
+                np.testing.assert_array_equal(np.concatenate(chunked), edges)
+
+    def test_records_equal_one_band_runs(self, tmp_path):
+        manifest = independence_scene(tmp_path)
+        scene = load_scene(load_manifest(manifest)[0])
+        reference = PreparedReference(derive_reference(scene.label), MetricParams())
+        for kind in EXPERIMENT_KINDS:
+            spec = ExperimentSpec.for_kind(kind)
+            expected = []
+            for i, band in enumerate(BandName):
+                for algorithm in spec.algorithms:
+                    for variant in spec.preprocess_variants:
+                        edges = detect(run_pipeline(scene.stack[i : i + 1], variant), algorithm)
+                        expected.append(
+                            run_cell(scene, band, algorithm, variant, MetricParams(), reference, edges.values[0])
+                        )
+            records = run_experiment(manifest, spec).records
+            assert records == expected, kind
+            assert not any(r.error for r in records)
+
+    def test_detection_fault_gives_one_record_per_band(self, tmp_path):
+        manifest = independence_scene(tmp_path)
+        spec = ExperimentSpec.for_kind("table1", canny_params=CannyParams(smooth_kernel_size=51))
+        records = run_experiment(manifest, spec).records
+        failed = [r for r in records if r.error]
+        assert [r.band_name for r in failed] == [b.value for b in BandName]
+        assert all(r.algorithm == "canny" for r in failed)
+        assert {r.error for r in failed} == {"KernelTooLarge: kernel 51 larger than image (48, 48)"}
 
 
 class TestExperimentSpec:

@@ -6,6 +6,7 @@ import pytest
 from coastedge.errors import KernelTooLarge, ParamError
 from coastedge.preprocess import (
     PreprocessSpec,
+    blur_array,
     equalize_histogram,
     gaussian_blur,
     gaussian_kernel_1d,
@@ -14,7 +15,7 @@ from coastedge.preprocess import (
     scale_minmax,
 )
 
-from oracles import closing_loops
+from oracles import blur_loops, closing_loops, equalize_loops
 
 
 def band_of(values):
@@ -82,6 +83,24 @@ class TestEqualizeHistogram:
             assert out.max() == 255
 
 
+    def test_stack_matches_loop_oracle(self, rng):
+        # one bincount serves the stack; each plane must equal its own 256-bin remap
+        planes = [
+            rng.integers(0, 256, size=(9, 11)),
+            rng.integers(100, 103, size=(9, 11)),  # three occupied levels
+            np.clip(rng.exponential(8.0, size=(9, 11)), 0, 255).round(),
+            np.full((9, 11), 255.0),  # constant: unchanged
+            np.zeros((9, 11)),
+            np.where(rng.random((9, 11)) < 0.5, 0.0, 255.0),
+        ]
+        stack = band_of(planes)
+        out = equalize_histogram(stack)
+        assert out.shape == stack.shape and out.dtype == np.float64
+        for plane, got in zip(stack, out):
+            np.testing.assert_array_equal(got, equalize_loops(plane))
+            np.testing.assert_array_equal(equalize_histogram(plane), got)
+
+
 class TestGaussianBlur:
     def test_kernel_normalized(self):
         for size, sigma in ((3, 1.0), (5, 1.0), (11, 2.5)):
@@ -115,6 +134,17 @@ class TestGaussianBlur:
     def test_kernel_too_large(self):
         with pytest.raises(KernelTooLarge):
             gaussian_blur(band_of(np.zeros((3, 3))), 5, 1.0)
+        # a stack's message names the plane's (H, W), as a single band's does
+        with pytest.raises(KernelTooLarge, match=r"^kernel 5 larger than image \(4, 6\)$"):
+            gaussian_blur(band_of(np.zeros((12, 4, 6))), 5, 1.0)
+
+    @pytest.mark.parametrize("size, sigma", [(3, 0.8), (5, 1.0), (7, 2.5), (9, 1.4)])
+    def test_stack_matches_loop_oracle(self, rng, size, sigma):
+        stack = band_of(rng.integers(0, 256, size=(3, 10, 13)))
+        out = blur_array(stack, size, sigma)
+        for plane, got in zip(stack, out):
+            np.testing.assert_allclose(got, blur_loops(plane, size, sigma), rtol=0, atol=1e-9)
+            assert blur_array(plane, size, sigma).tobytes() == got.tobytes()
 
 
 class TestMorphologicalClosing:

@@ -16,11 +16,11 @@ from coastedge.errors import (
     UnsupportedLayout,
 )
 from coastedge.raster import (
-    Band,
     BandName,
     EdgeMap,
     LabelMask,
     Scene,
+    check_samples,
     load_manifest,
     load_scene,
     read_npy,
@@ -50,20 +50,26 @@ class TestBandName:
 
 class TestDomainTypes:
     def test_band_too_small(self):
-        with pytest.raises(ShapeError):
-            Band(BandName.BLUE, np.zeros((2, 5)))
+        with pytest.raises(ShapeError, match=r"at least 3x3, got \(2, 5\)"):
+            check_samples(np.zeros((2, 5)))
+        with pytest.raises(ShapeError, match=r"at least 3x3, got \(4, 2\)"):
+            check_samples(np.zeros((12, 4, 2)))
 
     def test_band_negative(self):
-        samples = np.zeros((4, 4))
-        samples[1, 1] = -3
-        with pytest.raises(ValueError):
-            Band(BandName.BLUE, samples)
+        samples = np.zeros((12, 4, 4))
+        samples[7, 1, 1] = -3
+        with pytest.raises(ValueError, match="non-negative"):
+            check_samples(samples)
+        with pytest.raises(ValueError, match="non-negative"):
+            check_samples(samples[7])
 
     def test_band_non_finite(self):
-        samples = np.zeros((4, 4))
-        samples[0, 0] = np.inf
-        with pytest.raises(ValueError):
-            Band(BandName.BLUE, samples)
+        samples = np.zeros((12, 4, 4))
+        samples[11, 0, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            check_samples(samples)
+        with pytest.raises(ValueError, match="finite"):
+            check_samples(samples[11])
 
     def test_label_must_be_binary(self):
         values = np.zeros((4, 4), dtype=np.uint8)
@@ -79,10 +85,10 @@ class TestDomainTypes:
         EdgeMap(values, kind="magnitude")  # fine as magnitude
 
     def test_scene_requires_matching_shapes(self, clean_scene):
-        bands = dict(clean_scene.bands)
-        bands[BandName.BLUE] = Band(BandName.BLUE, np.zeros((8, 8)))
         with pytest.raises(ShapeError):
-            Scene(id="x", bands=bands, label=clean_scene.label)
+            Scene(id="x", stack=np.zeros((12, 8, 8)), label=clean_scene.label)
+        with pytest.raises(BandCountError):
+            Scene(id="x", stack=clean_scene.stack[:11], label=clean_scene.label)
 
 
 def _npy_bytes(shape: str, payload: bytes) -> bytes:
@@ -246,10 +252,9 @@ class TestLoadScene:
         image = rng.integers(0, 10000, size=(16, 16, 12)).astype(np.uint16)
         label = rng.integers(0, 2, size=(16, 16)).astype(np.uint8)
         scene = load_scene(_write_pair(tmp_path, image, label))
-        assert len(scene.bands) == 12
-        np.testing.assert_array_equal(
-            scene.bands[BandName.COASTAL_AEROSOL].samples, image[:, :, 0]
-        )
+        assert scene.stack.shape == (12, 16, 16) and scene.stack.dtype == np.float64
+        assert scene.stack.flags.c_contiguous
+        np.testing.assert_array_equal(scene.stack, np.moveaxis(image, 2, 0))
 
     def test_non_binary_label(self, tmp_path, rng):
         image = rng.integers(0, 100, size=(8, 8, 12)).astype(np.uint16)
@@ -273,10 +278,12 @@ class TestLoadScene:
         image = rng.integers(0, 100, size=(16, 16, 12)).astype(np.uint16)
         label = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
         scene = load_scene(_write_pair(tmp_path, image, label))
-        band = scene.bands[BandName.BLUE]
-        assert band.samples.shape == (8, 8)
-        # nearest-neighbor: no new intensity values
-        assert set(np.unique(band.samples)) <= set(np.unique(image[:, :, 1]).astype(float))
+        assert scene.stack.shape == (12, 8, 8)
+        # nearest-neighbor: no new intensity values, none from another band
+        for i in range(12):
+            assert set(np.unique(scene.stack[i])) <= set(np.unique(image[:, :, i]).astype(float))
+        # rows and columns 0, 2, 4, ... of the 16x16 grid
+        np.testing.assert_array_equal(scene.stack, np.moveaxis(image[::2, ::2], 2, 0))
 
 
 class TestManifest:

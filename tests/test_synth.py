@@ -15,6 +15,8 @@ from coastedge.synth import (
     make_label,
 )
 
+NIR = list(BandName).index(BandName.NIR)
+
 
 class TestSpecValidation:
     def test_bad_boundary(self):
@@ -62,20 +64,20 @@ class TestGenerateScene:
         a = generate_scene(spec)
         b = generate_scene(spec)
         assert a.id == b.id == "synth_000009"
-        for name in BandName:
-            np.testing.assert_array_equal(a.bands[name].samples, b.bands[name].samples)
+        assert a.stack.shape == (12, 32, 32)
+        np.testing.assert_array_equal(a.stack, b.stack)
 
     def test_seed_changes_noise(self):
         a = generate_scene(SynthSpec(size=32, seed=1, noise_sigma=200))
         b = generate_scene(SynthSpec(size=32, seed=2, noise_sigma=200))
-        assert (a.bands[BandName.NIR].samples != b.bands[BandName.NIR].samples).any()
+        assert (a.stack[NIR] != b.stack[NIR]).any()
 
     def test_zero_noise_class_means(self):
         spec = SynthSpec(size=32, seed=0, boundary="halfplane", noise_sigma=0)
         scene = generate_scene(spec)
         land = scene.label.values == 0
-        for name, (land_mean, water_mean) in spec.class_means.items():
-            samples = scene.bands[name].samples
+        for name, samples in zip(BandName, scene.stack):
+            land_mean, water_mean = spec.class_means[name]
             assert (samples[land] == land_mean).all()
             assert (samples[~land] == water_mean).all()
 
@@ -86,8 +88,8 @@ class TestGenerateScene:
         half = generate_scene(
             SynthSpec(size=32, boundary="halfplane", noise_sigma=0, contrast=0.5)
         )
-        nir_full = full.bands[BandName.NIR].samples
-        nir_half = half.bands[BandName.NIR].samples
+        nir_full = full.stack[NIR]
+        nir_half = half.stack[NIR]
         mid = 0.5 * (3200.0 + 450.0)
         gap_full = nir_full.max() - nir_full.min()
         gap_half = nir_half.max() - nir_half.min()
@@ -100,27 +102,22 @@ class TestGenerateScene:
             development_count=3, development_size=6,
         )
         scene = generate_scene(spec)
-        samples = scene.bands[BandName.BLUE].samples
+        samples = scene.stack[list(BandName).index(BandName.BLUE)]
         bright = samples == DEVELOPMENT_INTENSITY
         assert bright.sum() >= 3 * 6 * 6 * 0.5  # rectangles may overlap
         assert (scene.label.values[bright] == 0).all()
 
     def test_values_in_raw16_range(self):
         scene = generate_scene(SynthSpec(size=32, seed=4, noise_sigma=3000))
-        for name in BandName:
-            samples = scene.bands[name].samples
-            assert samples.min() >= 0 and samples.max() <= 65535
-            np.testing.assert_array_equal(samples, np.round(samples))
+        assert scene.stack.min() >= 0 and scene.stack.max() <= 65535
+        np.testing.assert_array_equal(scene.stack, np.round(scene.stack))
 
     def test_zero_noise_canny_tracks_boundary(self):
         from coastedge.preprocess import PreprocessSpec, run_pipeline
 
         spec = SynthSpec(size=48, seed=0, boundary="halfplane", noise_sigma=0)
         scene = generate_scene(spec)
-        band = run_pipeline(
-            scene.bands[BandName.NIR].samples,
-            PreprocessSpec(equalize=False, noise_reduction="none"),
-        )
+        band = run_pipeline(scene.stack[NIR], PreprocessSpec(equalize=False, noise_reduction="none"))
         edge = canny(band, CannyParams(smoothing=False))
         cols = np.nonzero(edge.values.any(axis=0))[0]
         boundary = boundary_columns(spec)[0]
@@ -138,10 +135,7 @@ class TestGenerateCorpus:
         ]
         scene = load_scene(entries[1])
         regenerated = generate_scene(SynthSpec(size=24, seed=41, noise_sigma=100))
-        for name in BandName:
-            np.testing.assert_array_equal(
-                scene.bands[name].samples, regenerated.bands[name].samples
-            )
+        np.testing.assert_array_equal(scene.stack, regenerated.stack)
         np.testing.assert_array_equal(scene.label.values, regenerated.label.values)
 
     def test_regeneration_is_byte_identical(self, tmp_path):
