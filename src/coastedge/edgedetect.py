@@ -16,7 +16,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParamError
-from .preprocess import blur_array, normalize_planes, round_half_up
+from .preprocess import blur_array, check_sigma, normalize_planes, round_half_up
 from .raster import EdgeMap
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
@@ -65,8 +65,7 @@ class CannyParams:
             )
         if self.smooth_kernel_size < 3 or self.smooth_kernel_size % 2 == 0:
             raise ParamError("smooth_kernel_size must be odd and >= 3")
-        if self.smooth_sigma <= 0:
-            raise ParamError("smooth_sigma must be > 0")
+        check_sigma("smooth_sigma", self.smooth_sigma)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,11 @@
-"""Image quality metrics (RMSE, PSNR, SSIM, UQI) and corpus aggregation."""
+"""Image quality metrics (RMSE, PSNR, SSIM, UQI) and corpus aggregation.
+
+SSIM's Gaussian-weighted and UQI's unweighted window sums are taken by
+`preprocess.window_sums`: along the last axis first, each output adding its
+products one after another in kernel order. The golden records are pinned
+to the bits of that order, so keep it. UQI's sums are exact integers on
+integer-valued images (every edge map), whatever the order; SSIM's are not.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyGroupError, ParamError, ShapeError, WindowError
-from .preprocess import gaussian_kernel_1d
+from .preprocess import check_sigma, gaussian_kernel_1d, window_sums
 from .raster import EdgeMap
 
 
@@ -24,8 +31,7 @@ class MetricParams:
     def __post_init__(self):
         if self.ssim_window < 3 or self.ssim_window % 2 == 0:
             raise ParamError(f"ssim_window must be odd and >= 3, got {self.ssim_window}")
-        if not self.ssim_sigma > 0:
-            raise ParamError(f"ssim_sigma must be > 0, got {self.ssim_sigma}")
+        check_sigma("ssim_sigma", self.ssim_sigma)
         if self.uqi_window < 2:
             raise ParamError(f"uqi_window must be >= 2, got {self.uqi_window}")
 
@@ -91,14 +97,6 @@ def psnr(a, b) -> float:
     return _psnr(rmse(a, b))
 
 
-def _windowed_sums_valid(image: np.ndarray, kernel_1d: np.ndarray) -> np.ndarray:
-    """Separable weighted window sums, windows fully inside the image."""
-    k = len(kernel_1d)
-    cols = np.lib.stride_tricks.sliding_window_view(image, k, axis=1) @ kernel_1d
-    rows = np.lib.stride_tricks.sliding_window_view(cols, k, axis=0)
-    return np.einsum("ijk,k->ij", rows, kernel_1d)
-
-
 def _check_window(shape: tuple, window: int, metric: str) -> None:
     if min(shape) < window:
         raise WindowError(f"image {shape} smaller than {metric} window {window}")
@@ -126,33 +124,20 @@ class PreparedReference:
         b, win = self.values, self.params.ssim_window
         _check_window(b.shape, win, "SSIM")
         weights = gaussian_kernel_1d(win, self.params.ssim_sigma)
-        mu = _windowed_sums_valid(b, weights)
+        mu = window_sums(b, weights)
         mu_sq = mu**2
-        return weights, mu, mu_sq, _windowed_sums_valid(b * b, weights) - mu_sq
+        return weights, mu, mu_sq, window_sums(b * b, weights) - mu_sq
 
     @cached_property
     def uqi_stats(self) -> tuple:
         """Per UQI window: sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2."""
         b, win = self.values, self.params.uqi_window
         _check_window(b.shape, win, "UQI")
-        n = win * win
-        total, total_sq = _box_sums(b, win), _box_sums(b * b, win)
+        n, ones = win * win, np.ones(win)
+        total, total_sq = window_sums(b, ones), window_sums(b * b, ones)
         mu = total / n
         mu_sq = mu**2
         return total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total
-
-
-def _box_sums(image: np.ndarray, window: int) -> np.ndarray:
-    """Unweighted window sums, windows fully inside the image.
-
-    For integer-valued images (every edge map) each partial sum is an
-    integer below 2**53, so the result is exact in float64 whatever the
-    sum order.
-    """
-    ones = np.ones(window)
-    view = np.lib.stride_tricks.sliding_window_view
-    cols = np.einsum("ijk,k->ij", view(image, window, axis=1), ones)
-    return np.einsum("ijk,k->ij", view(cols, window, axis=0), ones)
 
 
 def _prepared_pair(a, b, params: MetricParams) -> tuple[np.ndarray, PreparedReference]:
@@ -168,10 +153,10 @@ def _prepared_pair(a, b, params: MetricParams) -> tuple[np.ndarray, PreparedRefe
 
 def _ssim(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) -> float:
     weights, mu_b, mu_b_sq, var_b = ref.ssim_stats
-    mu_a = _windowed_sums_valid(a, weights)
+    mu_a = window_sums(a, weights)
     mu_a_sq = mu_a**2
-    var_a = _windowed_sums_valid(aa, weights) - mu_a_sq
-    cov = _windowed_sums_valid(ab, weights) - mu_a * mu_b
+    var_a = window_sums(aa, weights) - mu_a_sq
+    cov = window_sums(ab, weights) - mu_a * mu_b
 
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
@@ -184,8 +169,8 @@ def _ssim(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference)
 def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) -> float:
     total_b, mu_b, mu_b_sq, var_b, spread_b = ref.uqi_stats
     win = ref.params.uqi_window
-    n = win * win
-    total_a, total_aa = _box_sums(a, win), _box_sums(aa, win)
+    n, ones = win * win, np.ones(win)
+    total_a, total_aa = window_sums(a, ones), window_sums(aa, ones)
 
     # Decided on the unweighted sums, which are exact for integer-valued
     # images: both windows are flat iff n*sum(a*a) - sum(a)**2 and its b
@@ -202,7 +187,7 @@ def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) 
     var_a = total_aa / n - mu_a_sq
     # freed before the q temporaries are made, the memory peak of scoring
     del total_a, total_aa
-    cov = _box_sums(ab, win) / n - mu_a * mu_b
+    cov = window_sums(ab, ones) / n - mu_a * mu_b
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
     if skip is not None:

@@ -237,3 +237,37 @@ def hysteresis_bfs(magnitude, nms, low, high):
                     keep[rr, cc] = True
                     queue.append((rr, cc))
     return keep
+
+
+def window_sums_loops(image, kernel):
+    """Separable window sums from the definition, over the windows fully inside
+    each plane (..., H, W): along the last axis, then along the one before it.
+
+    Every output adds its products to 0.0 one after another, in kernel order.
+    """
+    image = np.asarray(image, dtype=np.float64)
+    kernel = [float(x) for x in kernel]
+    k = len(kernel)
+    *lead, h, w = image.shape
+    out = []
+    for plane in image.reshape(-1, h, w).tolist():
+        rows = []
+        for r in range(h):
+            row = []
+            for c in range(w - k + 1):
+                acc = 0.0
+                for t in range(k):
+                    acc += plane[r][c + t] * kernel[t]
+                row.append(acc)
+            rows.append(row)
+        sums = []
+        for r in range(h - k + 1):
+            row = []
+            for c in range(w - k + 1):
+                acc = 0.0
+                for t in range(k):
+                    acc += rows[r + t][c] * kernel[t]
+                row.append(acc)
+            sums.append(row)
+        out.append(sums)
+    return np.array(out, dtype=np.float64).reshape(*lead, h - k + 1, w - k + 1)

@@ -284,6 +284,9 @@ class TestCanny:
             CannyParams(low_threshold=200, high_threshold=100)
         with pytest.raises(ParamError):
             CannyParams(high_threshold=300)
+        for sigma in (0.0, float("nan"), 1e-170):
+            with pytest.raises(ParamError, match="smooth_sigma"):
+                CannyParams(smooth_sigma=sigma)
 
 
 def near_tie_stacks():

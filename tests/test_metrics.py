@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastedge.errors import EmptyGroupError, ParamError, ShapeError, WindowError
 from coastedge.metrics import (
     MetricParams,
     MetricRecord,
     PreparedReference,
-    _box_sums,
     aggregate,
     compute_all,
     psnr,
@@ -18,6 +20,7 @@ from coastedge.metrics import (
     ssim,
     uqi,
 )
+from coastedge.preprocess import window_sums
 
 from oracles import rmse_direct, ssim_direct, uqi_direct
 
@@ -146,9 +149,9 @@ class TestUqi:
 
 def uqi_always_masked(a, b, window):
     """UQI with the degenerate-window masking and compaction always applied."""
-    n = window * window
-    total_a, total_aa = _box_sums(a, window), _box_sums(a * a, window)
-    total_b, total_bb = _box_sums(b, window), _box_sums(b * b, window)
+    n, ones = window * window, np.ones(window)
+    total_a, total_aa = window_sums(a, ones), window_sums(a * a, ones)
+    total_b, total_bb = window_sums(b, ones), window_sums(b * b, ones)
     mu_a, mu_b = total_a / n, total_b / n
     mu_a_sq, mu_b_sq = mu_a**2, mu_b**2
     var_a, var_b = total_aa / n - mu_a_sq, total_bb / n - mu_b_sq
@@ -156,7 +159,7 @@ def uqi_always_masked(a, b, window):
     contributing = ~(degenerate & (total_a == total_b))
     if not contributing.any():
         return 0.0
-    cov = _box_sums(a * b, window) / n - mu_a * mu_b
+    cov = window_sums(a * b, ones) / n - mu_a * mu_b
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
     q = np.where(degenerate, 0.0, q)
@@ -169,6 +172,39 @@ def flat_halves_pair(rng, size=32):
     a[:, size // 2 :] = rng.integers(0, 256, size=(size, size - size // 2))
     b[:, size // 2 :] = rng.integers(0, 256, size=(size, size - size // 2))
     return a, b
+
+
+class TestWidthEqualsSsimWindow:
+    """The planned numeric change of the shared window-sum kernel.
+
+    When a chip is exactly one SSIM window wide, the second pass of
+    `window_sums` has one output per row, and there einsum sums in an order
+    of its own; the earlier matmul/einsum sums took another. SSIM may move
+    in the last bits, within 1e-13 absolute (SSIM lies in [-1, 1]; near 0
+    a relative bound would not hold). UQI (exact integer sums) and RMSE do
+    not move.
+    """
+
+    # seed, SSIM window and sigma, height, UQI window, then the SSIM, UQI and
+    # RMSE the earlier matmul/einsum window sums gave on these 0/255 maps
+    EARLIER = [
+        (1, 11, 1.5, 40, 8, 0.05259101465825345, -0.012463436325071995, 167.56782887155657),
+        (2, 7, 1.2, 7, 5, -0.08911608816999954, -0.10223462807135109, 170.86514553642493),
+        (4, 13, 2.5, 64, 9, -0.04980369431278491, -0.04804697667854582, 167.03697843130885),
+        (5, 5, 1.0, 24, 2, -0.20433904470348635, -0.15376564827114278, 190.5403500574091),
+    ]
+
+    @pytest.mark.parametrize("case", EARLIER, ids=lambda case: f"seed{case[0]}")
+    def test_within_planned_tolerance(self, case):
+        seed, window, sigma, height, uqi_window, *earlier = case
+        rng = np.random.default_rng(seed)
+        a = np.where(rng.random((height, window)) < 0.3, 255.0, 0.0)
+        b = np.where(rng.random((height, window)) < 0.3, 255.0, 0.0)
+        values = compute_all(a, b, MetricParams(window, sigma, uqi_window))
+        ssim_, uqi_, rmse_ = earlier
+        assert abs(values["ssim"] - ssim_) <= 1e-13
+        assert values["uqi"] == uqi_
+        assert values["rmse"] == rmse_
 
 
 class TestUqiFastPath:
@@ -186,6 +222,33 @@ class TestUqiFastPath:
         ]
         for a, b in pairs:
             assert uqi(a, b, params) == uqi_always_masked(a, b, window)
+
+
+@st.composite
+def metric_cases(draw):
+    """MetricParams from the whole range its validator accepts, and a 0/255 or
+    8-bit chip pair the windows fit in."""
+    params = MetricParams(
+        ssim_window=2 * draw(st.integers(1, 6)) + 1,
+        # every sigma > 0 whose square is above 0, infinity included
+        ssim_sigma=draw(st.floats(min_value=0.0, exclude_min=True).filter(lambda s: s * s > 0)),
+        uqi_window=draw(st.integers(2, 13)),
+    )
+    least = max(params.ssim_window, params.uqi_window)
+    shape = (draw(st.integers(least, least + 8)), draw(st.integers(least, least + 8)))
+    levels = draw(st.sampled_from([st.sampled_from([0.0, 255.0]), st.integers(0, 255).map(float)]))
+    pair = [draw(hnp.arrays(np.float64, shape, elements=levels)) for _ in range(2)]
+    return params, *pair
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(metric_cases())
+    def test_ssim_and_uqi_match_oracles(self, case):
+        params, a, b = case
+        want_ssim = ssim_direct(a, b, params.ssim_window, params.ssim_sigma)
+        assert abs(ssim(a, b, params) - want_ssim) < 1e-6
+        assert abs(uqi(a, b, params) - uqi_direct(a, b, params.uqi_window)) < 1e-6
 
 
 class TestSymmetry:
@@ -212,6 +275,7 @@ class TestMetricParams:
             ("ssim_sigma", 0.0),
             ("ssim_sigma", -1.5),
             ("ssim_sigma", math.nan),
+            ("ssim_sigma", 1e-170),
             ("uqi_window", 1),
             ("uqi_window", 0),
             ("uqi_window", -2),

@@ -13,9 +13,10 @@ from coastedge.preprocess import (
     morphological_closing,
     run_pipeline,
     scale_minmax,
+    window_sums,
 )
 
-from oracles import blur_loops, closing_loops, equalize_loops
+from oracles import blur_loops, closing_loops, equalize_loops, window_sums_loops
 
 
 def band_of(values):
@@ -131,6 +132,11 @@ class TestGaussianBlur:
         out_t = gaussian_blur(band_of(band.T), 5, 1.2)
         np.testing.assert_array_equal(out.T, out_t)
 
+    def test_tiny_sigma_is_a_one_hot_blur(self, rng):
+        # the outer taps' exponents overflow to -inf: weight 0, no warning
+        band = random_scaled8(rng, (12, 12))
+        np.testing.assert_array_equal(blur_array(band, 5, 1e-160), band)
+
     def test_kernel_too_large(self):
         with pytest.raises(KernelTooLarge):
             gaussian_blur(band_of(np.zeros((3, 3))), 5, 1.0)
@@ -145,6 +151,47 @@ class TestGaussianBlur:
         for plane, got in zip(stack, out):
             np.testing.assert_allclose(got, blur_loops(plane, size, sigma), rtol=0, atol=1e-9)
             assert blur_array(plane, size, sigma).tobytes() == got.tobytes()
+
+
+def layouts(values):
+    """The same values C-ordered, F-ordered and as a strided view into a bigger array."""
+    base = np.zeros(values.shape[:-2] + (2 * values.shape[-2], 3 * values.shape[-1]))
+    strided = base[..., 1::2, ::3]
+    strided[...] = values
+    return np.ascontiguousarray(values), np.asfortranarray(values), strided
+
+
+class TestWindowSums:
+    @pytest.mark.parametrize("planes", [(), (1,), (6,), (12,)], ids=["2d", "1", "6", "12"])
+    @pytest.mark.parametrize("k", range(2, 14))
+    def test_byte_identical_to_loop_oracle(self, rng, planes, k):
+        # every size with at least two windows along the last axis (W == k
+        # is the documented exception), on real values, where order matters
+        kernels = [rng.random(k), np.ones(k)]
+        if k % 2:
+            kernels.append(gaussian_kernel_1d(k, rng.uniform(0.3, 3.0)))
+        for h in range(k, k + 6):
+            for w in range(k + 1, k + 7):
+                values = rng.normal(size=planes + (h, w)) * 100.0
+                for kernel in kernels:
+                    want = window_sums_loops(values, kernel)
+                    for layout in layouts(values):
+                        got = window_sums(layout, kernel)
+                        assert got.shape == want.shape
+                        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [5, 11])
+    def test_chip_sized_stack(self, rng, k):
+        values = rng.integers(0, 256, size=(6, 64, 64)).astype(float) ** 2
+        kernel = gaussian_kernel_1d(k, 1.5)
+        assert window_sums(values, kernel).tobytes() == window_sums_loops(values, kernel).tobytes()
+
+    def test_integer_sums_exact_at_width_k(self, rng):
+        # the W == k exception changes nothing where every partial sum is exact
+        values = rng.integers(0, 256, size=(3, 20, 8)).astype(float)
+        np.testing.assert_array_equal(
+            window_sums(values, np.ones(8)), window_sums_loops(values, np.ones(8))
+        )
 
 
 class TestMorphologicalClosing:
@@ -206,8 +253,9 @@ class TestPipeline:
     def test_spec_validation(self):
         with pytest.raises(ParamError):
             PreprocessSpec(gaussian_kernel_size=4)
-        with pytest.raises(ParamError):
-            PreprocessSpec(gaussian_sigma=0.0)
+        for sigma in (0.0, -1.0, float("nan"), 1e-170):
+            with pytest.raises(ParamError, match="gaussian_sigma"):
+                PreprocessSpec(gaussian_sigma=sigma)
         with pytest.raises(ParamError):
             PreprocessSpec(closing_element=2)
         with pytest.raises(ParamError):
