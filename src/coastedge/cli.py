@@ -78,7 +78,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("detect", formatter_class=fmt, help="detect edges on one band of an image chip")
     p.add_argument("--input", required=True, help="image NPY (HxWx12, canonical band order)")
     p.add_argument("--label", default=None, help="optional binary label NPY; prints metrics when given")
-    p.add_argument("--band", required=True, help="canonical band name, e.g. CoastalAerosol")
+    p.add_argument("--band", required=True, choices=[b.value for b in BandName], help="canonical band name")
     p.add_argument("--algorithm", choices=ALGORITHMS, default="canny")
     p.add_argument("--out", required=True, help="output edge map path")
     p.add_argument("--format", choices=("npy", "pgm"), default="pgm")
@@ -151,14 +151,9 @@ def _read_band(path, band_name: BandName) -> np.ndarray:
 
 
 def cmd_detect(args) -> int:
-    try:
-        band_name = BandName.from_string(args.band)
-    except ValueError as exc:
-        raise CliError(str(exc))
-
     canny_params, metric_params = _canny_params(args), _metric_params(args)
 
-    samples = _read_band(args.input, band_name)
+    samples = _read_band(args.input, BandName(args.band))
     if args.label is not None:
         label = LabelMask(read_npy(args.label))
         if label.values.shape != samples.shape:
@@ -176,7 +171,7 @@ def cmd_detect(args) -> int:
     if args.format == "pgm":
         write_pgm(edges, args.out)
     else:
-        write_npy(edges.values, args.out)
+        write_npy(edges, args.out)
 
     if args.label is not None:
         reference = derive_reference(label, canny_params)

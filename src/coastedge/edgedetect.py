@@ -5,7 +5,9 @@ one separable core with integer weights: exact on integer-valued samples,
 and exactly flip- and transpose-symmetric on float ones. The detectors
 take plain arrays of shape (..., H, W) and treat each plane over the last
 two axes on its own, so a band stack and a single 2D band take the same
-code; samples are validated once, where a raster is read.
+code; samples are validated once, where a raster is read. Each returns its
+8-bit edge maps as one uint8 array of the input's shape: 0/255 for Canny,
+the normalized gradient magnitude for the other three.
 """
 
 from __future__ import annotations
@@ -17,34 +19,14 @@ from scipy import ndimage
 
 from .errors import ParamError
 from .preprocess import blur_array, check_sigma, normalize_planes, round_half_up
-from .raster import EdgeMap
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
 
 
-@dataclass(frozen=True)
-class GradientKernelPair:
-    """Horizontal/vertical 3x3 gradient kernels; gy is the transpose of gx.
-
-    gx must be a column (s0, s1, s0) of integer weights times [-1, 0, 1],
-    the separable form the gradient core computes.
-    """
-
-    name: str
-    gx: np.ndarray
-    gy: np.ndarray
-
-
-def _kernel_pair(name: str, gx_rows) -> GradientKernelPair:
-    gx = np.array(gx_rows, dtype=np.float64)
-    return GradientKernelPair(name=name, gx=gx, gy=gx.T.copy())
-
-
-SOBEL = _kernel_pair("sobel", [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]])
-SCHARR = _kernel_pair("scharr", [[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]])
-PREWITT = _kernel_pair("prewitt", [[-1, 0, 1], [-1, 0, 1], [-1, 0, 1]])
-
-KERNELS = {"sobel": SOBEL, "scharr": SCHARR, "prewitt": PREWITT}
+# Each operator's gx kernel is a column of integer weights (s0, s1, s0) times
+# the row difference [-1, 0, 1], and its gy kernel the transpose; stored as
+# (s0, s1), the separable form the gradient core computes.
+KERNELS = {"sobel": (1, 2), "scharr": (3, 10), "prewitt": (1, 1)}
 
 
 @dataclass(frozen=True)
@@ -81,8 +63,8 @@ def _pad_planes(image: np.ndarray) -> np.ndarray:
     return np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
 
 
-def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tuple:
-    """gx and gy of a 3x3 pair from its separable form, edge-replicated borders.
+def _separable_gradients(image: np.ndarray, weights: tuple[int, int]) -> tuple:
+    """gx and gy of a `KERNELS` entry (s0, s1), edge-replicated borders.
 
     gx is the column weights (s0, s1, s0) times a [-1, 0, 1] row difference,
     and gy its transpose. The weights are integers, so on integer-valued
@@ -90,7 +72,7 @@ def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tupl
     On any input each output sums its terms in a mirror-symmetric order, so
     flipping or transposing the image flips or transposes gx and gy exactly.
     """
-    s0, s1, _ = kernels.gx[:, 2].tolist()
+    s0, s1 = weights
     padded = _pad_planes(np.asarray(image, dtype=np.float64))
     gx = padded[..., :, 2:] - padded[..., :, :-2]
     gy = padded[..., 2:, :] - padded[..., :-2, :]
@@ -99,21 +81,20 @@ def _separable_gradients(image: np.ndarray, kernels: GradientKernelPair) -> tupl
     return gx, gy
 
 
-def gradient_field(image: np.ndarray, kernels: GradientKernelPair) -> GradientField:
-    """Gradient responses; magnitude = hypot, direction = atan2."""
-    gx, gy = _separable_gradients(image, kernels)
+def gradient_field(image: np.ndarray, weights: tuple[int, int]) -> GradientField:
+    """Gradient responses of a `KERNELS` entry; magnitude = hypot, direction = atan2."""
+    gx, gy = _separable_gradients(image, weights)
     return GradientField(magnitude=np.hypot(gx, gy), direction=np.arctan2(gy, gx))
 
 
-def gradient_magnitude(image: np.ndarray, kernels: GradientKernelPair) -> np.ndarray:
-    """Gradient magnitude only; equals gradient_field(image, kernels).magnitude."""
-    return np.hypot(*_separable_gradients(image, kernels))
+def gradient_magnitude(image: np.ndarray, weights: tuple[int, int]) -> np.ndarray:
+    """Gradient magnitude only; equals gradient_field(image, weights).magnitude."""
+    return np.hypot(*_separable_gradients(image, weights))
 
 
-def magnitude_to_edgemap(magnitude: np.ndarray) -> EdgeMap:
-    """Quantize each plane's normalized gradient magnitude to an 8-bit map."""
-    normalized = round_half_up(normalize_planes(magnitude))
-    return EdgeMap(values=normalized.astype(np.uint8), kind="magnitude")
+def magnitude_to_edgemap(magnitude: np.ndarray) -> np.ndarray:
+    """Quantize each plane's normalized gradient magnitude to an 8-bit uint8 map."""
+    return round_half_up(normalize_planes(magnitude)).astype(np.uint8)
 
 
 def _direction_sector(direction: np.ndarray) -> np.ndarray:
@@ -166,8 +147,11 @@ def _plane_neighbours(ndim: int) -> np.ndarray:
     return structure
 
 
-def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> EdgeMap:
-    """Full Canny chain: smooth, Sobel gradients, NMS, double-threshold, hysteresis."""
+def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> np.ndarray:
+    """Full Canny chain: smooth, Sobel gradients, NMS, double-threshold, hysteresis.
+
+    Gives a uint8 map of the input's shape, 255 on edge pixels and 0 elsewhere.
+    """
     edges, _ = canny_debug(image, params)
     return edges
 
@@ -175,18 +159,20 @@ def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> EdgeMap:
 def canny_debug(image: np.ndarray, params: CannyParams = CannyParams()):
     """Canny returning the edge map plus intermediate fields for verification.
 
-    Debug dict keys: normalized_magnitude, nms_mask, strong, weak.
+    Debug dict keys: normalized_magnitude, nms_mask, strong. Every strong
+    pixel is an edge pixel.
     """
     if params.smoothing:
         image = blur_array(image, params.smooth_kernel_size, params.smooth_sigma)
-    field = gradient_field(image, SOBEL)
+    field = gradient_field(image, KERNELS["sobel"])
     normalized = normalize_planes(field.magnitude)
     nms = _nms_mask(field.magnitude, field.direction)
 
+    # strong pixels reach the high threshold, and candidates (strong or weak) the low one
     strong = nms & (normalized >= params.high_threshold)
-    weak = nms & (normalized >= params.low_threshold) & ~strong
+    candidate = nms & (normalized >= params.low_threshold)
 
-    labels, count = ndimage.label(strong | weak, structure=_plane_neighbours(strong.ndim))
+    labels, count = ndimage.label(candidate, structure=_plane_neighbours(strong.ndim))
     if count:
         has_strong = np.zeros(count + 1, dtype=bool)
         has_strong[np.unique(labels[strong])] = True
@@ -194,18 +180,13 @@ def canny_debug(image: np.ndarray, params: CannyParams = CannyParams()):
     else:
         keep = np.zeros_like(strong)
 
-    edges = EdgeMap(values=np.where(keep, 255, 0).astype(np.uint8), kind="binary")
-    debug = {
-        "normalized_magnitude": normalized,
-        "nms_mask": nms,
-        "strong": strong & keep,
-        "weak": weak & keep,
-    }
+    edges = np.where(keep, 255, 0).astype(np.uint8)
+    debug = {"normalized_magnitude": normalized, "nms_mask": nms, "strong": strong}
     return edges, debug
 
 
-def detect(image: np.ndarray, algorithm: str, params: CannyParams = CannyParams()) -> EdgeMap:
-    """Dispatch to Canny or a gradient operator's normalized magnitude map."""
+def detect(image: np.ndarray, algorithm: str, params: CannyParams = CannyParams()) -> np.ndarray:
+    """Dispatch to Canny or a gradient operator's normalized magnitude map (uint8)."""
     if algorithm == "canny":
         return canny(image, params)
     if algorithm in KERNELS:

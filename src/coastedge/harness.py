@@ -30,7 +30,7 @@ from .metrics import (
     compute_all,
 )
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import BandName, EdgeMap, LabelMask, Scene, load_manifest, load_scene
+from .raster import BandName, LabelMask, Scene, load_manifest, load_scene
 
 EXPERIMENT_KINDS = ("table1", "equalization_ablation", "noise_ablation")
 
@@ -107,8 +107,8 @@ class RunResult:
     provenance: dict
 
 
-def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()) -> EdgeMap:
-    """Ground-truth coastline edges: Canny applied to the binary label x 255.
+def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()) -> np.ndarray:
+    """Ground-truth coastline edges, a 0/255 uint8 map: Canny applied to the binary label x 255.
 
     Internal smoothing is disabled so every reference edge pixel is
     guaranteed to touch (8-adjacency) a pixel of the opposite label class.
@@ -139,7 +139,7 @@ def run_cell(
     algorithm: str,
     preprocess_spec: PreprocessSpec,
     metric_params: MetricParams,
-    reference: EdgeMap | PreparedReference,
+    reference: np.ndarray | PreparedReference,
     edges: np.ndarray,
 ) -> MetricRecord:
     """Score one band's edge plane against the reference.
@@ -210,7 +210,7 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
                 except CELL_ERRORS as exc:
                     records += [_error_record(scene.id, b, algorithm, variant, exc) for b in chunk]
                     continue
-                for band, plane in zip(chunk, edges.values):
+                for band, plane in zip(chunk, edges):
                     records.append(
                         run_cell(scene, band, algorithm, variant, spec.metric_params, reference, plane)
                     )

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import EmptyGroupError, ParamError, ShapeError, WindowError
 from .preprocess import check_sigma, gaussian_kernel_1d, window_sums
-from .raster import EdgeMap
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class AggregateCell:
 
 
 def _as_float(img) -> np.ndarray:
-    if isinstance(img, (EdgeMap, PreparedReference)):
+    if isinstance(img, PreparedReference):
         img = img.values
     return np.asarray(img, dtype=np.float64)
 

@@ -1,7 +1,8 @@
 """Raster data model and bit-exact file I/O.
 
 Covers the NPY (v1.0) array format used for image chips and labels, binary
-PGM export of edge maps, and the JSON corpus manifest that ties them together.
+PGM export of edge maps (plain 2D uint8 arrays), and the JSON corpus manifest
+that ties them together.
 """
 
 from __future__ import annotations
@@ -44,14 +45,6 @@ class BandName(Enum):
     SWIR_1 = "SWIR1"
     SWIR_2 = "SWIR2"
 
-    @classmethod
-    def from_string(cls, name: str) -> "BandName":
-        for member in cls:
-            if member.value == name:
-                return member
-        valid = ", ".join(m.value for m in cls)
-        raise ValueError(f"unknown band name {name!r}; expected one of: {valid}")
-
     @property
     def display(self) -> str:
         """Human-readable name, e.g. 'Coastal Aerosol'."""
@@ -90,31 +83,6 @@ class LabelMask:
         if not ((values == 0) | (values == 1)).all():
             raise LabelError("label values must be strictly binary {0, 1}")
         object.__setattr__(self, "values", values.astype(np.uint8))
-
-
-@dataclass(frozen=True)
-class EdgeMap:
-    """8-bit edge image: binary for Canny/reference, magnitude for gradients.
-
-    A detector run on a band stack gives one map of its planes, (..., H, W).
-    """
-
-    values: np.ndarray  # (..., H, W) uint8
-    kind: str = "binary"  # "binary" | "magnitude"
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim < 2:
-            raise ShapeError(f"edge map must be at least 2D, got shape {values.shape}")
-        if values.dtype != np.uint8:
-            if np.any(values < 0) or np.any(values > 255):
-                raise ValueError("edge map values must be within 0..255")
-            values = values.astype(np.uint8)
-        if self.kind not in ("binary", "magnitude"):
-            raise ValueError(f"bad edge map kind {self.kind!r}")
-        if self.kind == "binary" and not ((values == 0) | (values == 255)).all():
-            raise ValueError("binary edge map must only contain 0 and 255")
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -238,9 +206,10 @@ def write_npy(array: np.ndarray, path) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def write_pgm(edge_map: EdgeMap, path) -> None:
-    """Write an edge map as a binary (P5) PGM image, maxval 255."""
-    values = edge_map.values
+def write_pgm(values: np.ndarray, path) -> None:
+    """Write a 2D uint8 edge map as a binary (P5) PGM image, maxval 255."""
+    if values.ndim != 2 or values.dtype != np.uint8:
+        raise ValueError(f"PGM needs a 2D uint8 array, got {values.ndim}D {values.dtype}")
     height, width = values.shape
     header = f"P5\n{width} {height}\n255\n"
     try:

@@ -65,6 +65,16 @@ class SynthSpec:
             raise ParamError("contrast must be in (0, 1]")
         if self.development_count < 0 or self.development_size < 1:
             raise ParamError("bad development settings")
+        if self.development_count > 0:
+            # a rectangle's top row is drawn from [0, size - development_size);
+            # a blob scene draws its corner inside the central square of side
+            # 2 * (size // 6), less development_size
+            room = 2 * (self.size // 6) if self.boundary == "blob" else self.size
+            if self.development_size >= room:
+                raise ParamError(
+                    f"development_size {self.development_size} does not fit a "
+                    f"{self.boundary} scene of size {self.size}: it must be below {room}"
+                )
         if set(self.class_means) != set(BandName):
             raise ParamError("class_means must cover all 12 bands")
         if all(land == water for land, water in self.class_means.values()):

@@ -10,6 +10,14 @@ from collections import deque
 import numpy as np
 
 
+# The textbook horizontal gradient kernels; each vertical kernel is the transpose.
+GRADIENT_KERNELS = {
+    "sobel": np.array([[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]], dtype=np.float64),
+    "scharr": np.array([[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]], dtype=np.float64),
+    "prewitt": np.array([[-1, 0, 1], [-1, 0, 1], [-1, 0, 1]], dtype=np.float64),
+}
+
+
 def convolve2d_loops(image, kernel):
     """Direct nested-loop correlation with edge-clamped borders."""
     image = np.asarray(image, dtype=np.float64)

@@ -70,6 +70,21 @@ class TestSynth:
         assert code == 1
         assert err != ""
 
+    @pytest.mark.parametrize("boundary, room", [("halfplane", 16), ("sinusoid", 16), ("blob", 4)])
+    def test_development_rectangle_must_fit(self, tmp_path, capsys, boundary, room):
+        # at size 16 a rectangle must be smaller than `room`: the scene side,
+        # or for a blob 2 * (16 // 6), the side of its central square
+        argv = ["synth", "--n", "1", "--size", "16", "--boundary", boundary, "--development", "1"]
+        code, _, _ = run(capsys, *argv, "--development-size", str(room - 1), "--out-dir", str(tmp_path / "ok"))
+        assert code == 0
+        code, _, err = run(capsys, *argv, "--development-size", str(room), "--out-dir", str(tmp_path / "x"))
+        assert code == 1
+        assert err == (
+            f"error: development_size {room} does not fit a {boundary} scene of size 16: "
+            f"it must be below {room}\n"
+        )
+        assert not (tmp_path / "x").exists()
+
 
 class TestDetect:
     def test_writes_pgm(self, corpus_dir, tmp_path, capsys):

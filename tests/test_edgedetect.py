@@ -1,13 +1,15 @@
 """Edge detection tests, checked against the nested-loop convolution oracle."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastedge.edgedetect import (
     KERNELS,
-    PREWITT,
-    SCHARR,
-    SOBEL,
     CannyParams,
     _direction_sector,
     _separable_gradients,
@@ -22,7 +24,9 @@ from coastedge.errors import ParamError
 from coastedge.preprocess import PreprocessSpec, blur_array, run_pipeline
 from coastedge.synth import SynthSpec, generate_scene
 
-from oracles import convolve2d_loops, hysteresis_bfs, nms_loops
+from oracles import GRADIENT_KERNELS, convolve2d_loops, hysteresis_bfs, nms_loops
+
+SOBEL = KERNELS["sobel"]
 
 
 def band_of(values):
@@ -36,16 +40,23 @@ def step_band(size=16, value=255.0):
 
 
 class TestKernels:
-    def test_gy_is_transpose_and_zero_sum(self):
-        for pair in (SOBEL, SCHARR, PREWITT):
-            np.testing.assert_array_equal(pair.gy, pair.gx.T)
-            assert pair.gx.sum() == 0
-            assert pair.gy.sum() == 0
+    def test_gy_is_transpose_and_zero_sum(self, rng):
+        # gy of an image is gx of its transpose, and a constant image gives 0
+        image = rng.integers(0, 256, size=(7, 9)).astype(float)
+        for weights in KERNELS.values():
+            gx, gy = _separable_gradients(image, weights)
+            gx_t, gy_t = _separable_gradients(np.ascontiguousarray(image.T), weights)
+            assert gy.tobytes() == np.ascontiguousarray(gx_t.T).tobytes()
+            assert gx.tobytes() == np.ascontiguousarray(gy_t.T).tobytes()
+            for g in _separable_gradients(np.full((5, 6), 77.0), weights):
+                assert (g == 0).all()
 
     def test_stated_sobel_rows(self):
-        np.testing.assert_array_equal(SOBEL.gx, [[-1, 0, 1], [-2, 0, 2], [-1, 0, 1]])
-        np.testing.assert_array_equal(SCHARR.gx, [[-3, 0, 3], [-10, 0, 10], [-3, 0, 3]])
-        np.testing.assert_array_equal(PREWITT.gx, [[-1, 0, 1], [-1, 0, 1], [-1, 0, 1]])
+        # each entry is the right-hand column's (s0, s1) of the textbook kernel
+        assert sorted(KERNELS) == sorted(GRADIENT_KERNELS)
+        for name, matrix in GRADIENT_KERNELS.items():
+            assert KERNELS[name] == (matrix[0, 2], matrix[1, 2])
+            np.testing.assert_array_equal(matrix, np.outer(matrix[:, 2], [-1, 0, 1]))
 
 
 class TestGradientField:
@@ -59,7 +70,7 @@ class TestGradientField:
         np.testing.assert_allclose(field.magnitude[:, :6], 0.0, atol=1e-9)
 
     def test_constant_zero_magnitude(self):
-        field = gradient_field(band_of(np.full((8, 8), 120.0)), SCHARR)
+        field = gradient_field(band_of(np.full((8, 8), 120.0)), KERNELS["scharr"])
         np.testing.assert_allclose(field.magnitude, 0.0, atol=1e-9)
 
     def test_diagonal_step_direction(self):
@@ -86,8 +97,8 @@ class TestGradientField:
         ramp = np.tile(np.arange(16, dtype=float), (16, 1))
         band = band_of(ramp)
         responses = {
-            name: gradient_field(band, pair).magnitude[8, 8]
-            for name, pair in KERNELS.items()
+            name: gradient_field(band, weights).magnitude[8, 8]
+            for name, weights in KERNELS.items()
         }
         np.testing.assert_allclose(responses["sobel"], 8.0)
         np.testing.assert_allclose(responses["scharr"], 32.0)
@@ -119,33 +130,33 @@ def integer_images(rng):
 class TestSeparableGradients:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_equals_convolve2d_bit_for_bit_on_integer_bands(self, rng, name):
-        pair = KERNELS[name]
+        matrix = GRADIENT_KERNELS[name]
         for image in integer_images(rng):
-            gx, gy = _separable_gradients(image, pair)
+            gx, gy = _separable_gradients(image, KERNELS[name])
             # against the nested-loop convolution, byte for byte: signed
             # zeros must agree too (atan2 sees them)
-            assert gx.tobytes() == convolve2d_loops(image, pair.gx).tobytes()
-            assert gy.tobytes() == convolve2d_loops(image, pair.gy).tobytes()
+            assert gx.tobytes() == convolve2d_loops(image, matrix).tobytes()
+            assert gy.tobytes() == convolve2d_loops(image, matrix.T).tobytes()
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_matches_loop_oracle_on_float_input(self, rng, name):
-        pair = KERNELS[name]
+        matrix = GRADIENT_KERNELS[name]
         for shape in ((3, 3), (5, 9), (8, 8)):
             image = rng.normal(size=shape) * 100
             image -= image.min()
-            gx, gy = _separable_gradients(image, pair)
-            np.testing.assert_allclose(gx, convolve2d_loops(image, pair.gx), atol=1e-9)
-            np.testing.assert_allclose(gy, convolve2d_loops(image, pair.gy), atol=1e-9)
+            gx, gy = _separable_gradients(image, KERNELS[name])
+            np.testing.assert_allclose(gx, convolve2d_loops(image, matrix), atol=1e-9)
+            np.testing.assert_allclose(gy, convolve2d_loops(image, matrix.T), atol=1e-9)
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_magnitude_flip_and_transpose_symmetric(self, rng, name):
         # exact on float input, such as Canny's blurred image
-        pair = KERNELS[name]
+        weights = KERNELS[name]
         for _ in range(50):
             image = rng.random((40, 40)) * 255.0
-            magnitude = gradient_field(image, pair).magnitude
+            magnitude = gradient_field(image, weights).magnitude
             for op in (np.fliplr, np.flipud, np.transpose):
-                moved = gradient_field(np.ascontiguousarray(op(image)), pair).magnitude
+                moved = gradient_field(np.ascontiguousarray(op(image)), weights).magnitude
                 assert moved.tobytes() == np.ascontiguousarray(op(magnitude)).tobytes(), op
 
     def test_layout_does_not_change_bits(self, rng):
@@ -207,37 +218,37 @@ class TestMagnitudeToEdgemap:
     def test_zero_field(self):
         band = band_of(np.full((8, 8), 9.0))
         edge = magnitude_to_edgemap(gradient_field(band, SOBEL).magnitude)
-        assert (edge.values == 0).all()
-        assert edge.kind == "magnitude"
+        assert edge.dtype == np.uint8
+        assert (edge == 0).all()
 
     def test_unique_max_maps_to_255(self, rng):
         image = rng.integers(0, 200, size=(10, 10)).astype(float)
         image[4, 4] = 30000.0  # dominant spike
         field = gradient_field(band_of(image), SOBEL)
         edge = magnitude_to_edgemap(field.magnitude)
-        assert edge.values.max() == 255
-        assert edge.values[np.unravel_index(field.magnitude.argmax(), image.shape)] == 255
+        assert edge.max() == 255
+        assert edge[np.unravel_index(field.magnitude.argmax(), image.shape)] == 255
 
 
 class TestCanny:
     def test_constant_is_empty(self):
         edge = canny(band_of(np.full((16, 16), 77.0)))
-        assert (edge.values == 0).all()
-        assert edge.kind == "binary"
+        assert edge.dtype == np.uint8
+        assert (edge == 0).all()
 
     def test_clean_vertical_step_thin_line(self):
         edge = canny(step_band(32), CannyParams())
-        cols = np.nonzero(edge.values.any(axis=0))[0]
+        cols = np.nonzero(edge.any(axis=0))[0]
         # NMS thins the response to the ridge straddling the step
         assert len(cols) in (1, 2)
         assert set(cols) <= {15, 16}
-        assert (edge.values[:, cols] == 255).all()
+        assert (edge[:, cols] == 255).all()
 
     def test_binary_mask_edges_touch_opposite_class(self, noisy_scene):
         label = noisy_scene.label
         edge = canny(label.values * 255.0, CannyParams(smoothing=False))
         padded = np.pad(label.values, 1, mode="edge")
-        for r, c in zip(*np.nonzero(edge.values)):
+        for r, c in zip(*np.nonzero(edge)):
             window = padded[r : r + 3, c : c + 3]
             assert (window != label.values[r, c]).any()
 
@@ -248,8 +259,10 @@ class TestCanny:
         params = CannyParams()
         band = run_pipeline(noisy_scene.stack[list(BandName).index(BandName.NIR)], PreprocessSpec())
         edge, debug = canny_debug(band, params)
-        on = edge.values == 255
-        assert np.isin(edge.values, (0, 255)).all()
+        on = edge == 255
+        assert np.isin(edge, (0, 255)).all()
+        # every strong pixel is an edge pixel
+        assert on[debug["strong"]].all()
         # every edge pixel reaches the low threshold
         assert (debug["normalized_magnitude"][on] >= params.low_threshold).all()
         # weak pixels must be 8-connected to a strong pixel through edge pixels
@@ -272,10 +285,10 @@ class TestCanny:
         _, alone = canny_debug(weak, CannyParams())
         column = alone["normalized_magnitude"][:, 16]
         assert ((column >= 50) & (column < 150)).all()
-        assert (edges.values[0][:, 16] == 255).all()
-        assert (edges.values[1][:, 14:19] == 0).all()
-        for plane, got in zip(stack, edges.values):
-            np.testing.assert_array_equal(got, canny(plane).values)
+        assert (edges[0][:, 16] == 255).all()
+        assert (edges[1][:, 14:19] == 0).all()
+        for plane, got in zip(stack, edges):
+            np.testing.assert_array_equal(got, canny(plane))
 
     def test_param_validation(self):
         with pytest.raises(ParamError):
@@ -319,6 +332,39 @@ ORACLE_PARAMS = [
 ]
 
 
+def assert_planes_match_oracles(stack, params):
+    """Each plane's NMS mask and edges from one Canny call on the stack equal the oracles'."""
+    edges, debug = canny_debug(stack, params)
+    for i, plane in enumerate(stack):
+        if params.smoothing:
+            plane = blur_array(plane, params.smooth_kernel_size, params.smooth_sigma)
+        field = gradient_field(plane, SOBEL)
+        nms = nms_loops(field.magnitude, field.direction)
+        np.testing.assert_array_equal(debug["nms_mask"][i], nms)
+        keep = hysteresis_bfs(field.magnitude, nms, params.low_threshold, params.high_threshold)
+        np.testing.assert_array_equal(edges[i], np.where(keep, 255, 0))
+
+
+@st.composite
+def canny_cases(draw):
+    """CannyParams from the whole range its validator accepts, and a small
+    stack the smoothing kernel fits in, of 0/255 or 8-bit levels."""
+    low, high = sorted(draw(st.floats(0.0, 255.0, exclude_min=True)) for _ in range(2))
+    assume(low < high)
+    params = CannyParams(
+        low_threshold=low,
+        high_threshold=high,
+        smoothing=draw(st.booleans()),
+        smooth_kernel_size=2 * draw(st.integers(1, 6)) + 1,
+        # every sigma > 0 whose square is above 0, infinity included
+        smooth_sigma=draw(st.floats(min_value=0.0, exclude_min=True).filter(lambda s: s * s > 0)),
+    )
+    least = params.smooth_kernel_size if params.smoothing else 3
+    shape = (draw(st.integers(1, 3)), draw(st.integers(least, least + 8)), draw(st.integers(least, least + 8)))
+    levels = draw(st.sampled_from([st.sampled_from([0.0, 255.0]), st.integers(0, 255).map(float)]))
+    return params, draw(hnp.arrays(np.float64, shape, elements=levels))
+
+
 class TestCannyOracle:
     """Canny's suppression and hysteresis against the per-pixel oracles.
 
@@ -330,15 +376,20 @@ class TestCannyOracle:
     def test_stack_planes_match_oracles(self, rng, params):
         noisy = rng.integers(0, 256, size=(3, 20, 23)).astype(float)
         for stack in [*near_tie_stacks(), noisy]:
-            edges, debug = canny_debug(stack, params)
-            for i, plane in enumerate(stack):
-                if params.smoothing:
-                    plane = blur_array(plane, params.smooth_kernel_size, params.smooth_sigma)
-                field = gradient_field(plane, SOBEL)
-                nms = nms_loops(field.magnitude, field.direction)
-                np.testing.assert_array_equal(debug["nms_mask"][i], nms)
-                keep = hysteresis_bfs(field.magnitude, nms, params.low_threshold, params.high_threshold)
-                np.testing.assert_array_equal(edges.values[i], np.where(keep, 255, 0))
+            assert_planes_match_oracles(stack, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(canny_cases(), st.data())
+    def test_every_accepted_param_matches_oracles(self, case, data):
+        params, stack = case
+        # or thresholds that suppressed-in magnitudes equal exactly: ties
+        _, debug = canny_debug(stack, params)
+        levels = np.unique(debug["normalized_magnitude"][debug["nms_mask"]])
+        levels = levels[levels > 0].tolist()
+        if len(levels) > 1 and data.draw(st.booleans()):
+            ties = data.draw(st.lists(st.sampled_from(levels), min_size=2, max_size=2, unique=True))
+            params = replace(params, low_threshold=min(ties), high_threshold=max(ties))
+        assert_planes_match_oracles(stack, params)
 
     def test_oracle_sees_near_ties(self):
         # the near-tie stacks hold nonzero magnitudes equal to their right-hand
@@ -357,12 +408,15 @@ class TestDetect:
     def test_sobel_dispatch_equals_manual(self, rng):
         band = band_of(rng.integers(0, 256, size=(12, 12)))
         manual = magnitude_to_edgemap(gradient_field(band, SOBEL).magnitude)
-        np.testing.assert_array_equal(detect(band, "sobel").values, manual.values)
+        np.testing.assert_array_equal(detect(band, "sobel"), manual)
 
-    def test_kinds(self):
-        band = step_band(16)
-        assert detect(band, "canny").kind == "binary"
-        assert detect(band, "prewitt").kind == "magnitude"
+    def test_kinds(self, rng):
+        # Canny gives a binary 0/255 map, a gradient operator graded magnitudes
+        band = band_of(rng.integers(0, 256, size=(16, 16)))
+        canny_map, prewitt_map = detect(band, "canny"), detect(band, "prewitt")
+        assert canny_map.dtype == prewitt_map.dtype == np.uint8
+        assert set(np.unique(canny_map)) == {0, 255}
+        assert len(np.unique(prewitt_map)) > 2
 
     def test_unknown_algorithm(self):
         with pytest.raises(ParamError):

@@ -3,9 +3,12 @@
 import csv
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coastedge import harness
 from coastedge.edgedetect import ALGORITHMS, CannyParams, detect
@@ -35,21 +38,21 @@ from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 class TestDeriveReference:
     def test_uniform_label_has_no_edges(self):
         reference = derive_reference(LabelMask(np.ones((16, 16), dtype=np.uint8)))
-        assert (reference.values == 0).all()
+        assert (reference == 0).all()
 
     def test_halfplane_label_gives_vertical_line(self):
         values = np.zeros((16, 16), dtype=np.uint8)
         values[:, 8:] = 1
         reference = derive_reference(LabelMask(values))
-        cols = np.nonzero(reference.values.any(axis=0))[0]
+        cols = np.nonzero(reference.any(axis=0))[0]
         assert len(cols) >= 1 and set(cols) <= {7, 8}
-        assert (reference.values[:, cols] == 255).all()
+        assert (reference[:, cols] == 255).all()
 
     def test_every_edge_pixel_touches_opposite_class(self, noisy_scene):
         label = noisy_scene.label
         reference = derive_reference(label)
         padded = np.pad(label.values, 1, mode="edge")
-        on = np.nonzero(reference.values)
+        on = np.nonzero(reference)
         assert len(on[0]) > 0
         for r, c in zip(*on):
             window = padded[r : r + 3, c : c + 3]
@@ -64,7 +67,7 @@ def nir_cell(scene, algorithm, spec=PreprocessSpec(), canny_params=CannyParams()
     if reference is None:
         reference = derive_reference(scene.label, canny_params)
     edges = detect(run_pipeline(scene.stack[NIR], spec), algorithm, canny_params)
-    return run_cell(scene, BandName.NIR, algorithm, spec, MetricParams(), reference, edges.values)
+    return run_cell(scene, BandName.NIR, algorithm, spec, MetricParams(), reference, edges)
 
 
 class TestRunCell:
@@ -100,13 +103,57 @@ class TestRunCell:
         edges = detect(run_pipeline(noisy_scene.stack[NIR], PreprocessSpec()), "sobel")
         record = run_cell(
             noisy_scene, BandName.NIR, "sobel", PreprocessSpec(), MetricParams(ssim_window=101),
-            reference, edges.values,
+            reference, edges,
         )
         assert record.error == "WindowError: image (64, 64) smaller than SSIM window 101"
         assert math.isnan(record.rmse)
 
 
+@st.composite
+def small_chip_cases(draw):
+    """An experiment grid with kernels and windows from the range their
+    validators accept, up to 9, a 12-band chip with sides of 3 to 10 and a
+    seed for its samples and label."""
+    odd = st.integers(1, 4).map(lambda n: 2 * n + 1)
+    spec = ExperimentSpec.for_kind(
+        draw(st.sampled_from(EXPERIMENT_KINDS)),
+        base=PreprocessSpec(gaussian_kernel_size=draw(odd), closing_element=draw(odd)),
+        canny_params=CannyParams(smoothing=draw(st.booleans()), smooth_kernel_size=draw(odd)),
+        metric_params=MetricParams(ssim_window=draw(odd), uqi_window=draw(st.integers(2, 9))),
+    )
+    shape = (draw(st.integers(3, 10)), draw(st.integers(3, 10)))
+    return spec, shape, draw(st.integers(0, 2**32 - 1))
+
+
 class TestFaultIsolation:
+    @settings(max_examples=60, deadline=None)
+    @given(small_chip_cases())
+    def test_chip_smaller_than_a_window_gives_window_errors(self, case):
+        # a cell fails exactly when the chip is smaller than a kernel or
+        # window it uses, with KernelTooLarge or WindowError and nothing else
+        spec, shape, seed = case
+        rng = np.random.default_rng(seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            entry = {"id": "c", "image": f"{tmp}/image.npy", "label": f"{tmp}/label.npy"}
+            write_npy(rng.integers(0, 4000, size=shape + (12,)).astype(np.uint16), entry["image"])
+            write_npy(rng.integers(0, 2, size=shape).astype(np.uint8), entry["label"])
+            records = harness._scene_records(entry, spec)
+        assert len(records) == 12 * len(spec.algorithms) * len(spec.preprocess_variants)
+        side, metric = min(shape), spec.metric_params
+        for record in records:
+            kernels = []
+            if record.preprocess_tag.endswith("noise=gaussian"):
+                kernels.append(spec.preprocess_variants[0].gaussian_kernel_size)
+            if record.algorithm == "canny" and spec.canny_params.smoothing:
+                kernels.append(spec.canny_params.smooth_kernel_size)
+            if max(kernels, default=0) > side:
+                expected = "KernelTooLarge"
+            elif max(metric.ssim_window, metric.uqi_window) > side:
+                expected = "WindowError"
+            else:
+                expected = ""
+            assert record.error.partition(":")[0] == expected, record
+
     def test_toolkit_bug_propagates(self, small_corpus, monkeypatch):
         def broken_detect(band, algorithm, params):
             raise TypeError("a bug, not a data fault")
@@ -162,10 +209,10 @@ class TestBandIndependence:
             np.testing.assert_array_equal(processed[0], np.concatenate(alone))
             np.testing.assert_array_equal(np.concatenate(processed[1:]), processed[0])
             for algorithm in ALGORITHMS:
-                edges = detect(processed[0], algorithm).values
+                edges = detect(processed[0], algorithm)
                 for i, plane in enumerate(alone):
-                    np.testing.assert_array_equal(edges[i], detect(plane, algorithm).values[0])
-                chunked = [detect(p, algorithm).values for p in processed[1:]]
+                    np.testing.assert_array_equal(edges[i], detect(plane, algorithm)[0])
+                chunked = [detect(p, algorithm) for p in processed[1:]]
                 np.testing.assert_array_equal(np.concatenate(chunked), edges)
 
     def test_records_equal_one_band_runs(self, tmp_path):
@@ -180,7 +227,7 @@ class TestBandIndependence:
                     for variant in spec.preprocess_variants:
                         edges = detect(run_pipeline(scene.stack[i : i + 1], variant), algorithm)
                         expected.append(
-                            run_cell(scene, band, algorithm, variant, MetricParams(), reference, edges.values[0])
+                            run_cell(scene, band, algorithm, variant, MetricParams(), reference, edges[0])
                         )
             records = run_experiment(manifest, spec).records
             assert records == expected, kind

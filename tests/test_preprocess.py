@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastedge.errors import KernelTooLarge, ParamError
 from coastedge.preprocess import (
@@ -264,3 +267,36 @@ class TestPipeline:
     def test_tags(self):
         assert PreprocessSpec().tag == "eq=on,noise=gaussian"
         assert PreprocessSpec(equalize=False, noise_reduction="none").tag == "eq=off,noise=none"
+
+
+@st.composite
+def preprocess_cases(draw):
+    """PreprocessSpec windows and sigma from the whole range its validator
+    accepts, and a small stack of 8-bit levels the blur kernel fits in. The
+    other fields only pick which of the stages tested here run."""
+    spec = PreprocessSpec(
+        gaussian_kernel_size=2 * draw(st.integers(1, 4)) + 1,
+        # every sigma > 0 whose square is above 0, infinity included
+        gaussian_sigma=draw(st.floats(min_value=0.0, exclude_min=True).filter(lambda s: s * s > 0)),
+        closing_element=2 * draw(st.integers(1, 4)) + 1,
+    )
+    least = spec.gaussian_kernel_size
+    shape = (draw(st.integers(1, 3)), draw(st.integers(least, least + 6)), draw(st.integers(least, least + 6)))
+    # few levels make ties in the histogram and flat closing windows
+    levels = draw(st.sampled_from([st.integers(0, 255), st.sampled_from([0, 7, 128, 255])]))
+    return spec, draw(hnp.arrays(np.float64, shape, elements=levels.map(float)))
+
+
+class TestOracleProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(preprocess_cases())
+    def test_stages_match_oracles(self, case):
+        spec, stack = case
+        blurred = blur_array(stack, spec.gaussian_kernel_size, spec.gaussian_sigma)
+        equalized = equalize_histogram(stack)
+        closed = morphological_closing(stack, spec.closing_element)
+        for i, plane in enumerate(stack):
+            want = blur_loops(plane, spec.gaussian_kernel_size, spec.gaussian_sigma)
+            np.testing.assert_allclose(blurred[i], want, rtol=0, atol=1e-9)
+            np.testing.assert_array_equal(equalized[i], equalize_loops(plane))
+            np.testing.assert_array_equal(closed[i], closing_loops(plane, spec.closing_element))

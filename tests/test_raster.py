@@ -17,7 +17,6 @@ from coastedge.errors import (
 )
 from coastedge.raster import (
     BandName,
-    EdgeMap,
     LabelMask,
     Scene,
     check_samples,
@@ -37,10 +36,6 @@ CANONICAL_NAMES = [
 class TestBandName:
     def test_canonical_order(self):
         assert [b.value for b in BandName] == CANONICAL_NAMES
-
-    def test_from_string_unknown(self):
-        with pytest.raises(ValueError, match="CoastalAerosol"):
-            BandName.from_string("Ultraviolet")
 
     def test_display_names(self):
         assert BandName.COASTAL_AEROSOL.display == "Coastal Aerosol"
@@ -76,13 +71,6 @@ class TestDomainTypes:
         values[2, 2] = 2
         with pytest.raises(LabelError):
             LabelMask(values)
-
-    def test_binary_edge_map_rejects_gray(self):
-        values = np.zeros((4, 4), dtype=np.uint8)
-        values[1, 1] = 100
-        with pytest.raises(ValueError):
-            EdgeMap(values, kind="binary")
-        EdgeMap(values, kind="magnitude")  # fine as magnitude
 
     def test_scene_requires_matching_shapes(self, clean_scene):
         with pytest.raises(ShapeError):
@@ -217,13 +205,13 @@ class TestNpy:
 
 class TestPgm:
     def test_exact_bytes(self, tmp_path):
-        edge = EdgeMap(np.array([[0, 255], [255, 0]], dtype=np.uint8), kind="binary")
+        edge = np.array([[0, 255], [255, 0]], dtype=np.uint8)
         path = tmp_path / "e.pgm"
         write_pgm(edge, path)
         assert path.read_bytes() == b"P5\n2 2\n255\n" + bytes([0, 255, 255, 0])
 
     def test_zero_payload(self, tmp_path):
-        edge = EdgeMap(np.zeros((3, 3), dtype=np.uint8), kind="binary")
+        edge = np.zeros((3, 3), dtype=np.uint8)
         path = tmp_path / "z.pgm"
         write_pgm(edge, path)
         data = path.read_bytes()
@@ -232,11 +220,17 @@ class TestPgm:
 
     def test_size_is_header_plus_pixels(self, tmp_path, rng):
         values = rng.integers(0, 256, size=(13, 29)).astype(np.uint8)
-        edge = EdgeMap(values, kind="magnitude")
         path = tmp_path / "m.pgm"
-        write_pgm(edge, path)
+        write_pgm(values, path)
         header = f"P5\n29 13\n255\n"
         assert path.stat().st_size == len(header) + 13 * 29
+
+    def test_rejects_other_than_2d_uint8(self, tmp_path):
+        path = tmp_path / "x.pgm"
+        for values in (np.zeros((3, 3)), np.zeros((2, 3, 3), dtype=np.uint8)):
+            with pytest.raises(ValueError, match="2D uint8"):
+                write_pgm(values, path)
+        assert not path.exists()
 
 
 def _write_pair(tmp_path, image, label, name="chip"):

@@ -119,7 +119,7 @@ class TestGenerateScene:
         scene = generate_scene(spec)
         band = run_pipeline(scene.stack[NIR], PreprocessSpec(equalize=False, noise_reduction="none"))
         edge = canny(band, CannyParams(smoothing=False))
-        cols = np.nonzero(edge.values.any(axis=0))[0]
+        cols = np.nonzero(edge.any(axis=0))[0]
         boundary = boundary_columns(spec)[0]
         assert len(cols) >= 1
         assert all(abs(c - boundary) <= 1 for c in cols)
