@@ -7,7 +7,9 @@ take plain arrays of shape (..., H, W) and treat each plane over the last
 two axes on its own, so a band stack and a single 2D band take the same
 code; samples are validated once, where a raster is read. Each returns its
 8-bit edge maps as one uint8 array of the input's shape: 0/255 for Canny,
-the normalized gradient magnitude for the other three.
+the normalized gradient magnitude for the other three. The magnitude is
+sqrt(gx*gx + gy*gy): exact and correctly rounded on integer samples, where
+every square and their sum are exact.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParamError
-from .preprocess import blur_array, check_sigma, normalize_planes, round_half_up
+from .preprocess import blur_array, check_sigma, normalize_planes
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
 
@@ -81,20 +83,39 @@ def _separable_gradients(image: np.ndarray, weights: tuple[int, int]) -> tuple:
     return gx, gy
 
 
+def _magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
+    """sqrt(gx*gx + gy*gy), built in one buffer.
+
+    On integer gradients the sum of squares is an exact integer below 2**53
+    for any 0..255 plane, and IEEE sqrt rounds once, so the magnitude is the
+    correctly rounded one (np.hypot can be 1 ulp off). The sum is symmetric
+    in gx and gy, so flips and transposes keep their bits. Squaring
+    overflows for |g| above about 1e154; detectors only see 0..255 planes.
+    """
+    magnitude = gx * gx
+    magnitude += gy * gy
+    return np.sqrt(magnitude, out=magnitude)
+
+
 def gradient_field(image: np.ndarray, weights: tuple[int, int]) -> GradientField:
-    """Gradient responses of a `KERNELS` entry; magnitude = hypot, direction = atan2."""
+    """Gradient responses of a `KERNELS` entry; magnitude = sqrt(gx² + gy²), direction = atan2."""
     gx, gy = _separable_gradients(image, weights)
-    return GradientField(magnitude=np.hypot(gx, gy), direction=np.arctan2(gy, gx))
+    return GradientField(magnitude=_magnitude(gx, gy), direction=np.arctan2(gy, gx))
 
 
 def gradient_magnitude(image: np.ndarray, weights: tuple[int, int]) -> np.ndarray:
     """Gradient magnitude only; equals gradient_field(image, weights).magnitude."""
-    return np.hypot(*_separable_gradients(image, weights))
+    return _magnitude(*_separable_gradients(image, weights))
 
 
 def magnitude_to_edgemap(magnitude: np.ndarray) -> np.ndarray:
-    """Quantize each plane's normalized gradient magnitude to an 8-bit uint8 map."""
-    return round_half_up(normalize_planes(magnitude)).astype(np.uint8)
+    """Quantize each plane's normalized gradient magnitude to an 8-bit uint8 map.
+
+    round_half_up(normalize_planes(magnitude)), done in normalize_planes' buffer.
+    """
+    levels = normalize_planes(magnitude)
+    levels += 0.5
+    return np.floor(levels, out=levels).astype(np.uint8)
 
 
 def _direction_sector(direction: np.ndarray) -> np.ndarray:

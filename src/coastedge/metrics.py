@@ -5,6 +5,12 @@ SSIM's Gaussian-weighted and UQI's unweighted window sums are taken by
 products one after another in kernel order. The golden records are pinned
 to the bits of that order, so keep it. UQI's sums are exact integers on
 integer-valued images (every edge map), whatever the order; SSIM's are not.
+
+A scored candidate `a` enters the window sums through
+`preprocess.transposed_window_sums`: its transpose is built once, straight
+from the uint8 map, and a*a and a*b are taken on it, so SSIM and UQI share
+the first step of every sum and keep its order. RMSE is taken in the
+original layout, where the pairwise order of its mean fixes its bits.
 """
 
 from __future__ import annotations
@@ -16,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import EmptyGroupError, ParamError, ShapeError, WindowError
-from .preprocess import check_sigma, gaussian_kernel_1d, window_sums
+from .preprocess import check_sigma, gaussian_kernel_1d, transposed_window_sums, window_sums
 
 
 @dataclass(frozen=True)
@@ -140,22 +146,29 @@ class PreparedReference:
 
 
 def _prepared_pair(a, b, params: MetricParams) -> tuple[np.ndarray, PreparedReference]:
-    """The candidate as float64 and the reference prepared for `params`."""
+    """The candidate as an array of its own dtype and the reference prepared for `params`."""
+    a = np.asarray(a)
     if not isinstance(b, PreparedReference):
-        a, b = _check_pair(a, b)
-        return a, PreparedReference(b, params)
-    if b.params != params:
+        b = PreparedReference(b, params)
+    elif b.params != params:
         raise ParamError(f"reference prepared for {b.params}, scored with {params}")
-    a, _ = _check_pair(a, b)
+    if a.shape != b.values.shape:
+        raise ShapeError(f"image shapes differ: {a.shape} vs {b.values.shape}")
     return a, b
 
 
-def _ssim(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) -> float:
+def _transposed_products(a: np.ndarray, ref: PreparedReference) -> tuple:
+    """a, a*a and a*b as C-ordered float64 transposes, for `transposed_window_sums`."""
+    at = np.array(a.swapaxes(-1, -2), dtype=np.float64, order="C")
+    return at, at * at, at * ref.values.swapaxes(-1, -2)
+
+
+def _ssim(at: np.ndarray, aat: np.ndarray, abt: np.ndarray, ref: PreparedReference) -> float:
     weights, mu_b, mu_b_sq, var_b = ref.ssim_stats
-    mu_a = window_sums(a, weights)
+    mu_a = transposed_window_sums(at, weights)
     mu_a_sq = mu_a**2
-    var_a = window_sums(aa, weights) - mu_a_sq
-    cov = window_sums(ab, weights) - mu_a * mu_b
+    var_a = transposed_window_sums(aat, weights) - mu_a_sq
+    cov = transposed_window_sums(abt, weights) - mu_a * mu_b
 
     c1 = (0.01 * 255.0) ** 2
     c2 = (0.03 * 255.0) ** 2
@@ -165,11 +178,11 @@ def _ssim(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference)
     return float(index.mean())
 
 
-def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) -> float:
+def _uqi(at: np.ndarray, aat: np.ndarray, abt: np.ndarray, ref: PreparedReference) -> float:
     total_b, mu_b, mu_b_sq, var_b, spread_b = ref.uqi_stats
     win = ref.params.uqi_window
     n, ones = win * win, np.ones(win)
-    total_a, total_aa = window_sums(a, ones), window_sums(aa, ones)
+    total_a, total_aa = transposed_window_sums(at, ones), transposed_window_sums(aat, ones)
 
     # Decided on the unweighted sums, which are exact for integer-valued
     # images: both windows are flat iff n*sum(a*a) - sum(a)**2 and its b
@@ -186,7 +199,7 @@ def _uqi(a: np.ndarray, aa: np.ndarray, ab: np.ndarray, ref: PreparedReference) 
     var_a = total_aa / n - mu_a_sq
     # freed before the q temporaries are made, the memory peak of scoring
     del total_a, total_aa
-    cov = window_sums(ab, ones) / n - mu_a * mu_b
+    cov = transposed_window_sums(abt, ones) / n - mu_a * mu_b
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
     if skip is not None:
@@ -205,7 +218,7 @@ def ssim(a, b, params: MetricParams = MetricParams()) -> float:
     PreparedReference for `params`.
     """
     a, ref = _prepared_pair(a, b, params)
-    return _ssim(a, a * a, a * ref.values, ref)
+    return _ssim(*_transposed_products(a, ref), ref)
 
 
 def uqi(a, b, params: MetricParams = MetricParams()) -> float:
@@ -217,7 +230,7 @@ def uqi(a, b, params: MetricParams = MetricParams()) -> float:
     PreparedReference for `params`.
     """
     a, ref = _prepared_pair(a, b, params)
-    return _uqi(a, a * a, a * ref.values, ref)
+    return _uqi(*_transposed_products(a, ref), ref)
 
 
 METRIC_NAMES = ("rmse", "psnr", "ssim", "uqi")
@@ -226,13 +239,14 @@ METRIC_NAMES = ("rmse", "psnr", "ssim", "uqi")
 def compute_all(a, b, params: MetricParams = MetricParams()) -> dict:
     """All four metrics for one image pair; `b` may be a PreparedReference for `params`."""
     a, ref = _prepared_pair(a, b, params)
+    # a - b casts each sample of a to float64 exactly, as a float copy would
     err = _rmse(a, ref.values)
-    aa, ab = a * a, a * ref.values
+    products = _transposed_products(a, ref)
     return {
         "rmse": err,
         "psnr": _psnr(err),
-        "ssim": _ssim(a, aa, ab, ref),
-        "uqi": _uqi(a, aa, ab, ref),
+        "ssim": _ssim(*products, ref),
+        "uqi": _uqi(*products, ref),
     }
 
 

@@ -12,6 +12,9 @@ it, and each output adds its products to 0 one after another, in kernel
 order. Keep that order: float sums taken in another order round differently,
 and the golden records and the benchmark digests are pinned to these bits
 (Canny's NMS keeps a pixel on a tie, so one ulp of blur can move an edge).
+Its first step is a C-ordered copy of each plane's transpose;
+`transposed_window_sums` is the rest, for a caller that already holds that
+copy, and `window_sums` is the copy followed by it, so both keep one order.
 """
 
 from __future__ import annotations
@@ -57,11 +60,17 @@ def round_half_up(x: np.ndarray) -> np.ndarray:
 
 
 def normalize_planes(image: np.ndarray) -> np.ndarray:
-    """Min-max map of each plane (..., H, W) to the 0..255 float scale; constant planes give 0."""
+    """Min-max map of each float plane (..., H, W) to the 0..255 scale; constant planes give 0.
+
+    Subtract, divide and scale run in one buffer.
+    """
     lo = image.min(axis=(-2, -1), keepdims=True)
     span = image.max(axis=(-2, -1), keepdims=True) - lo
     # a constant plane has image - lo == 0, so any nonzero span gives its zeros
-    return (image - lo) / np.where(span == 0, 1.0, span) * 255.0
+    out = image - lo
+    out /= np.where(span == 0, 1.0, span)
+    out *= 255.0
+    return out
 
 
 def scale_minmax(image: np.ndarray) -> np.ndarray:
@@ -112,17 +121,29 @@ def window_sums(image: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     is W == k: with a single output per row, einsum sums the second pass in
     an order of its own, which can differ in the last bits.
     """
-    out = image
-    for _ in range(2):
-        # On a C-ordered copy of the transpose the summed axis is the strided
-        # one: einsum's inner loop runs along the contiguous axis and adds the
-        # taps in its outer loop, one after another. Summing along the
-        # contiguous axis (matmul, or einsum's reduction loops) is 2.5-3x
-        # slower at 256x256, and the reduction loops take another order.
-        out = np.ascontiguousarray(out.swapaxes(-1, -2))
-        windows = np.lib.stride_tricks.sliding_window_view(out, len(kernel), axis=-2)
-        out = np.einsum("...ijk,k->...ij", windows, kernel)
-    return out
+    return transposed_window_sums(np.ascontiguousarray(image.swapaxes(-1, -2)), kernel)
+
+
+def transposed_window_sums(transposed: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """`window_sums` of the image whose planes `transposed` holds transposed.
+
+    `transposed` must be C-ordered. The result is in the image's own layout,
+    with the bits of `window_sums`. A caller that sums several products of
+    one image (SSIM and UQI take a, a*a and a*b) builds the transpose once.
+    """
+    rows = _column_window_sums(transposed, kernel)
+    return _column_window_sums(np.ascontiguousarray(rows.swapaxes(-1, -2)), kernel)
+
+
+def _column_window_sums(planes: np.ndarray, kernel: np.ndarray) -> np.ndarray:
+    """Window sums down axis -2 of C-ordered planes, taps added in kernel order."""
+    # Here the summed axis is the strided one: einsum's inner loop runs along
+    # the contiguous axis and adds the taps in its outer loop, one after
+    # another. Summing along the contiguous axis (matmul, or einsum's
+    # reduction loops) is 2.5-3x slower at 256x256, and the reduction loops
+    # take another order.
+    windows = np.lib.stride_tricks.sliding_window_view(planes, len(kernel), axis=-2)
+    return np.einsum("...ijk,k->...ij", windows, kernel)
 
 
 def blur_array(image: np.ndarray, kernel_size: int, sigma: float) -> np.ndarray:

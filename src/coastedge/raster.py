@@ -181,7 +181,9 @@ def read_npy(path) -> np.ndarray:
 
 
 def write_npy(array: np.ndarray, path) -> None:
-    """Write an array as NPY v1.0; round-trips bit-exact through read_npy."""
+    """Write a 2D or 3D array as NPY v1.0; round-trips bit-exact through read_npy."""
+    if np.ndim(array) not in (2, 3):
+        raise ValueError(f"expected a 2D or 3D array, got shape {np.shape(array)}")
     array = np.ascontiguousarray(array)
     if array.size == 0:
         raise ValueError("refusing to write an empty array")
@@ -189,8 +191,6 @@ def write_npy(array: np.ndarray, path) -> None:
         raise UnsupportedDtype(f"cannot write dtype {array.dtype}")
     descr = _DTYPE_TO_DESCR[array.dtype]
     shape = ", ".join(str(s) for s in array.shape)
-    if array.ndim == 1:
-        shape += ","
     header = f"{{'descr': {descr!r}, 'fortran_order': False, 'shape': ({shape}), }}"
     # pad with spaces so magic + version + length + header is 64-byte aligned
     unpadded = len(_NPY_MAGIC) + 2 + 2 + len(header) + 1

@@ -1,5 +1,6 @@
 """Edge detection tests, checked against the nested-loop convolution oracle."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -105,6 +106,31 @@ class TestGradientField:
         np.testing.assert_allclose(responses["prewitt"], 6.0)
 
 
+def integer_images(rng):
+    """Integer-valued test bands: dense 8-bit and 16-bit, sparse 0/255, a step."""
+    for shape in ((3, 3), (3, 8), (7, 5), (24, 25), (64, 64)):
+        yield rng.integers(0, 256, size=shape).astype(float)
+        yield rng.integers(0, 65536, size=shape).astype(float)
+        yield np.where(rng.random(shape) < 0.05, 255.0, 0.0)
+        step = np.zeros(shape)
+        step[:, shape[1] // 2 :] = 255.0
+        yield step
+
+
+# Sobel gives (gx, gy) = (-361, 361) at row 1, column 0, where np.hypot
+# returns 510.53109601668734, 1 ulp above the correctly rounded 510.5310960166873.
+HYPOT_OFF = np.array([[0.0, 134.0], [165.0, 0.0]])
+
+
+def exact_magnitude(image, matrix):
+    """sqrt of the exact integer gx**2 + gy**2 of the loop oracle, rounded once."""
+    gx = convolve2d_loops(image, matrix)
+    gy = convolve2d_loops(image, matrix.T)
+    return np.array(
+        [[math.sqrt(int(x) ** 2 + int(y) ** 2) for x, y in zip(*rows)] for rows in zip(gx, gy)]
+    )
+
+
 class TestGradientMagnitude:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_equals_gradient_field_on_integer_bands(self, rng, name):
@@ -115,16 +141,19 @@ class TestGradientMagnitude:
                 gradient_field(band, KERNELS[name]).magnitude,
             )
 
+    @pytest.mark.parametrize("name", sorted(KERNELS))
+    def test_correctly_rounded_on_integer_bands(self, rng, name):
+        for image in [HYPOT_OFF, *integer_images(rng)]:
+            want = exact_magnitude(image, GRADIENT_KERNELS[name]).tobytes()
+            assert gradient_magnitude(image, KERNELS[name]).tobytes() == want
+            assert gradient_field(image, KERNELS[name]).magnitude.tobytes() == want
 
-def integer_images(rng):
-    """Integer-valued test bands: dense 8-bit and 16-bit, sparse 0/255, a step."""
-    for shape in ((3, 3), (3, 8), (7, 5), (24, 25), (64, 64)):
-        yield rng.integers(0, 256, size=shape).astype(float)
-        yield rng.integers(0, 65536, size=shape).astype(float)
-        yield np.where(rng.random(shape) < 0.05, 255.0, 0.0)
-        step = np.zeros(shape)
-        step[:, shape[1] // 2 :] = 255.0
-        yield step
+    def test_hypot_is_one_ulp_off_on_the_pinned_plane(self):
+        want = exact_magnitude(HYPOT_OFF, GRADIENT_KERNELS["sobel"])[1, 0]
+        gx, gy = _separable_gradients(HYPOT_OFF, SOBEL)
+        assert (gx[1, 0], gy[1, 0]) == (-361.0, 361.0)
+        assert np.hypot(gx[1, 0], gy[1, 0]) == np.nextafter(want, np.inf)
+        assert gradient_magnitude(HYPOT_OFF, SOBEL)[1, 0] == want
 
 
 class TestSeparableGradients:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -249,6 +249,40 @@ class TestOracleProperties:
         want_ssim = ssim_direct(a, b, params.ssim_window, params.ssim_sigma)
         assert abs(ssim(a, b, params) - want_ssim) < 1e-6
         assert abs(uqi(a, b, params) - uqi_direct(a, b, params.uqi_window)) < 1e-6
+
+
+# uqi(a, b) is 0.35999999999999993 and uqi(b, a) is 0.36: one window, 1 ulp apart
+UQI_ASYMMETRIC = (
+    MetricParams(ssim_window=3, uqi_window=3),
+    np.diag([0.0, 0.0, 1.0]),
+    np.diag([0.0, 0.0, 3.0]),
+)
+
+
+class TestSymmetryProperties:
+    """SSIM and UQI are symmetric in their two images and lie in [-1, 1]
+    (Wang & Bovik 2002; Wang et al. 2004)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(metric_cases())
+    def test_ssim_symmetric_bit_for_bit_and_bounded(self, case):
+        # every term is a commutative product or sum of the two images' stats
+        params, a, b = case
+        value = ssim(a, b, params)
+        assert ssim(b, a, params) == value
+        assert -1.0 <= value <= 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(metric_cases())
+    @example(UQI_ASYMMETRIC)
+    def test_uqi_symmetric_to_rounding_and_bounded(self, case):
+        # 4.0 * cov * mu_a * mu_b multiplies left to right, so swapping the
+        # images swaps the last two factors and can move each window's index
+        # by a rounding; the mean then moves by at most a few ulps of 1
+        params, a, b = case
+        value = uqi(a, b, params)
+        assert abs(uqi(b, a, params) - value) <= 4 * np.finfo(np.float64).eps
+        assert -1.0 <= value <= 1.0
 
 
 class TestSymmetry:

@@ -16,6 +16,7 @@ from coastedge.preprocess import (
     morphological_closing,
     run_pipeline,
     scale_minmax,
+    transposed_window_sums,
     window_sums,
 )
 
@@ -188,6 +189,21 @@ class TestWindowSums:
         values = rng.integers(0, 256, size=(6, 64, 64)).astype(float) ** 2
         kernel = gaussian_kernel_1d(k, 1.5)
         assert window_sums(values, kernel).tobytes() == window_sums_loops(values, kernel).tobytes()
+
+    @pytest.mark.parametrize("planes", [(), (6,)], ids=["2d", "6"])
+    @pytest.mark.parametrize("k", [2, 5, 8, 11])
+    def test_transposed_entry_point_keeps_the_bits(self, rng, planes, k):
+        # a caller's own C-ordered transposed copy gives window_sums' bits
+        kernels = [rng.random(k), np.ones(k)]
+        if k % 2:
+            kernels.append(gaussian_kernel_1d(k, 1.5))
+        for h, w in ((k, k + 1), (k + 3, k + 5), (24, 31)):
+            values = rng.normal(size=planes + (h, w)) * 100.0
+            transposed = np.ascontiguousarray(values.swapaxes(-1, -2))
+            for kernel in kernels:
+                got = transposed_window_sums(transposed, kernel)
+                assert got.tobytes() == window_sums(values, kernel).tobytes()
+                assert got.tobytes() == window_sums_loops(values, kernel).tobytes()
 
     def test_integer_sums_exact_at_width_k(self, rng):
         # the W == k exception changes nothing where every partial sum is exact

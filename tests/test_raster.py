@@ -5,6 +5,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coastedge.errors import (
     BandCountError,
@@ -26,6 +29,8 @@ from coastedge.raster import (
     write_npy,
     write_pgm,
 )
+
+from oracles import resample_nearest_loops
 
 CANONICAL_NAMES = [
     "CoastalAerosol", "Blue", "Green", "Red", "RedEdge1", "RedEdge2",
@@ -194,6 +199,31 @@ class TestNpy:
             assert out.dtype == array.dtype
             np.testing.assert_array_equal(out, array)
 
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 2, 2, 2)])
+    def test_other_ranks_refused_before_the_file_is_opened(self, tmp_path, shape):
+        path = tmp_path / "rank.npy"
+        with pytest.raises(ValueError, match="2D or 3D"):
+            write_npy(np.zeros(shape, dtype=np.uint8), path)
+        assert not path.exists()
+
+    # each example overwrites the one file it writes, so a shared tmp_path is fine
+    @settings(
+        max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        hnp.arrays(
+            st.sampled_from([np.uint8, np.uint16, np.float32, np.float64]),
+            hnp.array_shapes(min_dims=2, max_dims=3, min_side=1, max_side=7),
+        )
+    )
+    def test_roundtrip_property(self, tmp_path, array):
+        # every value of every dtype, NaN payloads, infinities and -0.0 included
+        path = tmp_path / "p.npy"
+        write_npy(array, path)
+        out = read_npy(path)
+        assert (out.dtype, out.shape) == (array.dtype, array.shape)
+        assert out.tobytes() == array.tobytes()
+
     def test_header_is_64_byte_aligned(self, tmp_path):
         path = tmp_path / "a.npy"
         write_npy(np.zeros((5, 5), dtype=np.uint8), path)
@@ -278,6 +308,19 @@ class TestLoadScene:
             assert set(np.unique(scene.stack[i])) <= set(np.unique(image[:, :, i]).astype(float))
         # rows and columns 0, 2, 4, ... of the 16x16 grid
         np.testing.assert_array_equal(scene.stack, np.moveaxis(image[::2, ::2], 2, 0))
+
+
+    @settings(
+        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.integers(1, 13), st.integers(1, 13), st.integers(3, 13), st.integers(3, 13), st.data())
+    def test_resampling_matches_loop_oracle(self, tmp_path, in_h, in_w, out_h, out_w, data):
+        # up-, down- and unchanged sampling on each axis, in every combination
+        image = data.draw(hnp.arrays(np.uint16, (in_h, in_w, 12)))
+        label = np.zeros((out_h, out_w), dtype=np.uint8)
+        scene = load_scene(_write_pair(tmp_path, image, label))
+        want = resample_nearest_loops(np.moveaxis(image, 2, 0), (out_h, out_w))
+        assert scene.stack.tobytes() == want.astype(np.float64).tobytes()
 
 
 class TestManifest:
