@@ -20,7 +20,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import ParamError
-from .preprocess import blur_array, check_sigma, normalize_planes
+from .preprocess import blur_array, check_sigma, normalize_planes, pad_edges
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
 
@@ -60,11 +60,6 @@ class GradientField:
     direction: np.ndarray
 
 
-def _pad_planes(image: np.ndarray) -> np.ndarray:
-    """Each plane (..., H, W) with a one-pixel edge-replicated border."""
-    return np.pad(image, [(0, 0)] * (image.ndim - 2) + [(1, 1), (1, 1)], mode="edge")
-
-
 def _separable_gradients(image: np.ndarray, weights: tuple[int, int]) -> tuple:
     """gx and gy of a `KERNELS` entry (s0, s1), edge-replicated borders.
 
@@ -75,7 +70,7 @@ def _separable_gradients(image: np.ndarray, weights: tuple[int, int]) -> tuple:
     flipping or transposing the image flips or transposes gx and gy exactly.
     """
     s0, s1 = weights
-    padded = _pad_planes(np.asarray(image, dtype=np.float64))
+    padded = pad_edges(image, 1)
     gx = padded[..., :, 2:] - padded[..., :, :-2]
     gy = padded[..., 2:, :] - padded[..., :-2, :]
     gx = s0 * (gx[..., :-2, :] + gx[..., 2:, :]) + s1 * gx[..., 1:-1, :]
@@ -141,7 +136,7 @@ def _nms_mask(magnitude: np.ndarray, direction: np.ndarray) -> np.ndarray:
     A pixel survives when its magnitude is >= both directional neighbors
     (flat plateaus survive whole). Border neighbors are edge-replicated.
     """
-    padded = _pad_planes(magnitude)
+    padded = pad_edges(magnitude, 1)
     h, w = magnitude.shape[-2:]
 
     def shifted(dr, dc):

@@ -206,8 +206,11 @@ def _uqi(at: np.ndarray, aat: np.ndarray, abt: np.ndarray, ref: PreparedReferenc
         q = np.where(degenerate, 0.0, q)
         if skip.any():
             q = q[~skip]
-    # q is C-contiguous, so a full q sums in the order of its compacted copy
-    return float(q.mean())
+    # q is C-contiguous, so a full q sums in the order of its compacted copy.
+    # Each index lies in [-1, 1] in exact arithmetic, but a rounded one can
+    # land an ulp outside it (identical images can give 1.0000000000000002),
+    # and so can their mean; np.clip brings the mean back and keeps a NaN.
+    return float(np.clip(q.mean(), -1.0, 1.0))
 
 
 def ssim(a, b, params: MetricParams = MetricParams()) -> float:

@@ -9,23 +9,31 @@ from coastedge.synth import SynthSpec, generate_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# golden directory -> the 3-scene corpus its files were made from (see golden/README.md);
-# the noise-free corpora hold NMS near-ties, where neighbouring magnitudes
-# differ by less than one ulp
+# golden directory -> the corpus its files were made from, its scene count and
+# the experiments locked on it (see golden/README.md); the noise-free corpora
+# hold NMS near-ties, where neighbouring magnitudes differ by less than one
+# ulp, and the 256² scene locks the path where a row holds many windows
 CORPORA = {
-    ".": SynthSpec(size=64, seed=0, boundary="sinusoid", noise_sigma=300.0),
-    "sigma0/halfplane": SynthSpec(
-        size=64, seed=0, boundary="halfplane", noise_sigma=0.0, development_count=2
+    ".": (SynthSpec(size=64, seed=0, boundary="sinusoid", noise_sigma=300.0), 3, EXPERIMENT_KINDS),
+    "sigma0/halfplane": (
+        SynthSpec(size=64, seed=0, boundary="halfplane", noise_sigma=0.0, development_count=2),
+        3,
+        EXPERIMENT_KINDS,
     ),
-    "sigma0/blob": SynthSpec(size=64, seed=0, boundary="blob", noise_sigma=0.0, development_count=2),
+    "sigma0/blob": (
+        SynthSpec(size=64, seed=0, boundary="blob", noise_sigma=0.0, development_count=2),
+        3,
+        EXPERIMENT_KINDS,
+    ),
+    "size256": (SynthSpec(size=256, seed=1000, boundary="sinusoid", noise_sigma=300.0), 1, ("table1",)),
 }
 
 
 @pytest.fixture(scope="module")
 def golden_corpora(tmp_path_factory):
     return {
-        name: generate_corpus(3, spec, tmp_path_factory.mktemp("golden_corpus"))
-        for name, spec in CORPORA.items()
+        name: generate_corpus(count, spec, tmp_path_factory.mktemp("golden_corpus"))
+        for name, (spec, count, _) in CORPORA.items()
     }
 
 
@@ -33,8 +41,8 @@ def golden_corpora(tmp_path_factory):
     "corpus, kind",
     [
         pytest.param(corpus, kind, id=kind if corpus == "." else f"{corpus}/{kind}")
-        for corpus in CORPORA
-        for kind in EXPERIMENT_KINDS
+        for corpus, (_, _, kinds) in CORPORA.items()
+        for kind in kinds
     ],
 )
 def test_outputs_match_golden_files(golden_corpora, tmp_path, corpus, kind):

@@ -258,6 +258,11 @@ UQI_ASYMMETRIC = (
     np.diag([0.0, 0.0, 3.0]),
 )
 
+# an identical pair whose one UQI window's index rounds to 1.0000000000000002,
+# which the mean must not pass on
+UQI_ABOVE_ONE = (MetricParams(ssim_window=3, uqi_window=9), np.zeros((9, 9)), np.zeros((9, 9)))
+UQI_ABOVE_ONE[1][0, :4] = UQI_ABOVE_ONE[2][0, :4] = 255.0
+
 
 class TestSymmetryProperties:
     """SSIM and UQI are symmetric in their two images and lie in [-1, 1]
@@ -275,6 +280,7 @@ class TestSymmetryProperties:
     @settings(max_examples=150, deadline=None)
     @given(metric_cases())
     @example(UQI_ASYMMETRIC)
+    @example(UQI_ABOVE_ONE)
     def test_uqi_symmetric_to_rounding_and_bounded(self, case):
         # 4.0 * cov * mu_a * mu_b multiplies left to right, so swapping the
         # images swaps the last two factors and can move each window's index

@@ -14,6 +14,7 @@ from coastedge.preprocess import (
     gaussian_blur,
     gaussian_kernel_1d,
     morphological_closing,
+    pad_edges,
     run_pipeline,
     scale_minmax,
     transposed_window_sums,
@@ -205,12 +206,79 @@ class TestWindowSums:
                 assert got.tobytes() == window_sums(values, kernel).tobytes()
                 assert got.tobytes() == window_sums_loops(values, kernel).tobytes()
 
+    @pytest.mark.parametrize("k", [2, 5, 11])
+    def test_view_with_an_offset_keeps_the_bits(self, rng, k):
+        # a C-ordered view that starts inside its buffer: rows of a bigger
+        # plane, and a slice of a 12-plane stack
+        big = rng.normal(size=(2 * k + 4, k + 6)) * 100.0
+        stack = rng.normal(size=(12, k + 6, k + 3)) * 100.0
+        for transposed in (big[1:], big[3:-2], stack[1:], stack[5:9]):
+            assert transposed.flags.c_contiguous and transposed.base is not None
+            image = transposed.swapaxes(-1, -2)
+            for kernel in (rng.random(k), np.ones(k)):
+                got = transposed_window_sums(transposed, kernel)
+                assert got.tobytes() == window_sums_loops(image, kernel).tobytes()
+
+    @pytest.mark.parametrize("planes", [(), (3,)], ids=["2d", "3"])
+    @pytest.mark.parametrize("k", [2, 5, 8])
+    def test_window_as_long_as_the_plane_gives_one_window(self, rng, planes, k):
+        # integer sums are exact in any order, so W == k is compared exactly too
+        for shape in ((k, k + 4), (k + 4, k), (k, k)):
+            values = rng.integers(0, 256, size=planes + shape).astype(float)
+            got = window_sums(values, np.ones(k))
+            assert got.shape == planes + (shape[0] - k + 1, shape[1] - k + 1)
+            np.testing.assert_array_equal(got, window_sums_loops(values, np.ones(k)))
+
+    @pytest.mark.parametrize("planes", [(), (3,)], ids=["2d", "3"])
+    @pytest.mark.parametrize("excess", [1, 2, 4])
+    def test_window_longer_than_the_plane_is_refused(self, rng, planes, excess):
+        # one pixel too short gives an empty window view; it must raise, not
+        # give an empty array
+        k = 5
+        for shape in ((k - excess, k + 4), (k + 4, k - excess)):
+            values = rng.normal(size=planes + shape)
+            with pytest.raises(ValueError, match="window 5 longer"):
+                window_sums(values, np.ones(k))
+            with pytest.raises(ValueError, match="window 5 longer"):
+                transposed_window_sums(np.ascontiguousarray(values.swapaxes(-1, -2)), np.ones(k))
+
+    def test_transposed_entry_point_refuses_other_layouts(self, rng):
+        values = rng.normal(size=(3, 12, 9))
+        for layout in layouts(values)[1:] + (values.swapaxes(-1, -2),):
+            with pytest.raises(ValueError, match="C-ordered"):
+                transposed_window_sums(layout, np.ones(3))
+
     def test_integer_sums_exact_at_width_k(self, rng):
         # the W == k exception changes nothing where every partial sum is exact
         values = rng.integers(0, 256, size=(3, 20, 8)).astype(float)
         np.testing.assert_array_equal(
             window_sums(values, np.ones(8)), window_sums_loops(values, np.ones(8))
         )
+
+
+class TestPadEdges:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.float64])
+    @pytest.mark.parametrize("planes", [(), (1,), (4,)], ids=["2d", "1", "4"])
+    def test_matches_edge_mode_pad(self, rng, dtype, planes):
+        for width in range(1, 7):
+            for h in range(1, 10):
+                for w in range(1, 8):
+                    if dtype is np.uint8:
+                        image = rng.integers(0, 256, size=planes + (h, w)).astype(np.uint8)
+                    else:
+                        image = rng.normal(size=planes + (h, w)) * 100.0
+                    pads = [(0, 0)] * len(planes) + [(width, width)] * 2
+                    want = np.pad(image, pads, mode="edge").astype(np.float64)
+                    got = pad_edges(image, width)
+                    assert got.dtype == np.float64
+                    assert got.shape == want.shape
+                    assert got.tobytes() == want.tobytes(), (width, h, w)
+
+    def test_other_layouts(self, rng):
+        values = rng.normal(size=(2, 9, 7))
+        want = np.pad(values, [(0, 0), (2, 2), (2, 2)], mode="edge")
+        for layout in layouts(values):
+            assert pad_edges(layout, 2).tobytes() == want.tobytes()
 
 
 class TestMorphologicalClosing:
