@@ -15,7 +15,7 @@ import numpy as np
 from .edgedetect import ALGORITHMS, CannyParams, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
 from .harness import (
-    REPORT_FILES,
+    GRIDS,
     ExperimentSpec,
     derive_reference,
     emit_report,
@@ -184,7 +184,7 @@ _EXPERIMENT_ALIASES = {
     "table1": ["table1"],
     "equalization": ["equalization_ablation"],
     "noise": ["noise_ablation"],
-    "all": ["table1", "equalization_ablation", "noise_ablation"],
+    "all": list(GRIDS),
 }
 
 
@@ -193,7 +193,7 @@ def cmd_evaluate(args) -> int:
     out_base = Path(args.out_dir)
     any_errors = False
     for kind in kinds:
-        spec = ExperimentSpec.for_kind(
+        spec = ExperimentSpec(
             kind,
             base=_preprocess_spec(args),
             canny_params=_canny_params(args),
@@ -203,8 +203,8 @@ def cmd_evaluate(args) -> int:
         out_dir = out_base / kind if len(kinds) > 1 else out_base
         result = run_experiment(args.manifest, spec)
         emit_report(result, out_dir)
-        if kind == "table1":
-            print(markdown_table(result.aggregate_rows, spec.algorithms))
+        if "markdown" in spec.report_files:
+            print(markdown_table(result.aggregate_rows))
         if result.provenance["n_errors"]:
             any_errors = True
             print(
@@ -231,7 +231,7 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     result = read_run(args.records)
-    formats = REPORT_FILES[result.spec.kind]
+    formats = result.spec.report_files
     if args.format not in formats:
         raise CliError(
             f"{args.records}: a {result.spec.kind} run has no {args.format} report "

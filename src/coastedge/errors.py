@@ -45,9 +45,5 @@ class WindowError(CoastEdgeError):
     """Image smaller than the metric's sliding window."""
 
 
-class EmptyGroupError(CoastEdgeError):
-    """Aggregation requested over an empty record group."""
-
-
 class CorpusError(CoastEdgeError):
     """Corpus manifest unreadable or inconsistent."""

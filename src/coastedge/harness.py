@@ -10,6 +10,7 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -20,81 +21,72 @@ import numpy as np
 
 from . import __version__
 from .edgedetect import ALGORITHMS, CannyParams, canny, detect
-from .errors import CoastEdgeError, CorpusError, EmptyGroupError, IoError, ParamError
-from .metrics import (
-    METRIC_NAMES,
-    MetricParams,
-    MetricRecord,
-    PreparedReference,
-    aggregate,
-    compute_all,
-)
+from .errors import CoastEdgeError, CorpusError, IoError, ParamError
+from .metrics import METRIC_NAMES, MetricParams, MetricRecord, PreparedReference, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
 from .raster import BandName, LabelMask, Scene, load_manifest, load_scene
 
-EXPERIMENT_KINDS = ("table1", "equalization_ablation", "noise_ablation")
+# experiment kind -> its algorithms, the (equalize, noise_reduction) pair of
+# each preprocessing variant, and its report files (format -> file name);
+# `evaluate` writes every report file, and `report` re-creates any one
+GRIDS = {
+    "table1": {
+        "algorithms": ALGORITHMS,
+        "variants": ((True, "gaussian"),),
+        "report_files": {"csv": "aggregates.csv", "markdown": "table1.md"},
+    },
+    "equalization_ablation": {
+        "algorithms": ("canny",),
+        "variants": ((True, "gaussian"), (False, "gaussian")),
+        "report_files": {"csv": "aggregates.csv", "plotdata": "fig5_equalization.csv"},
+    },
+    "noise_ablation": {
+        "algorithms": ("canny",),
+        "variants": ((True, "none"), (True, "gaussian"), (True, "closing")),
+        "report_files": {"csv": "aggregates.csv", "plotdata": "fig6_noise.csv"},
+    },
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment grid: which algorithms and preprocessing variants to run."""
+    """One experiment: its kind's grid, run from a base preprocessing spec."""
 
     kind: str
-    algorithms: tuple = ALGORITHMS
-    preprocess_variants: tuple = (PreprocessSpec(),)
+    base: PreprocessSpec = PreprocessSpec()
     canny_params: CannyParams = CannyParams()
     metric_params: MetricParams = MetricParams()
     worker_count: int = 1
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if not isinstance(self.kind, str) or self.kind not in GRIDS:
             raise ParamError(f"unknown experiment kind {self.kind!r}")
-        unknown = [a for a in self.algorithms if a not in ALGORITHMS]
-        if unknown:
-            raise ParamError(f"unknown algorithms {unknown}")
         if self.worker_count < 1:
             raise ParamError("worker_count must be >= 1")
 
     @classmethod
-    def for_kind(
-        cls,
-        kind: str,
-        base: PreprocessSpec = PreprocessSpec(),
-        canny_params: CannyParams = CannyParams(),
-        metric_params: MetricParams = MetricParams(),
-        worker_count: int = 1,
-    ) -> "ExperimentSpec":
-        """Build the canonical grid for a kind from a base preprocessing spec."""
-        if kind == "table1":
-            algorithms = ALGORITHMS
-            variants = (replace(base, equalize=True, noise_reduction="gaussian"),)
-        elif kind == "equalization_ablation":
-            algorithms = ("canny",)
-            variants = (
-                replace(base, equalize=True, noise_reduction="gaussian"),
-                replace(base, equalize=False, noise_reduction="gaussian"),
-            )
-        elif kind == "noise_ablation":
-            algorithms = ("canny",)
-            variants = (
-                replace(base, equalize=True, noise_reduction="none"),
-                replace(base, equalize=True, noise_reduction="gaussian"),
-                replace(base, equalize=True, noise_reduction="closing"),
-            )
-        else:
-            raise ParamError(f"unknown experiment kind {kind!r}")
-        return cls(
-            kind=kind,
-            algorithms=algorithms,
-            preprocess_variants=variants,
-            canny_params=canny_params,
-            metric_params=metric_params,
-            worker_count=worker_count,
+    def for_kind(cls, kind: str, **fields) -> "ExperimentSpec":
+        """The same as `ExperimentSpec(kind, **fields)`."""
+        return cls(kind, **fields)
+
+    @property
+    def algorithms(self) -> tuple:
+        return GRIDS[self.kind]["algorithms"]
+
+    @property
+    def preprocess_variants(self) -> tuple:
+        return tuple(
+            replace(self.base, equalize=equalize, noise_reduction=noise)
+            for equalize, noise in GRIDS[self.kind]["variants"]
         )
 
     @property
     def variant_tags(self) -> list[str]:
         return [v.tag for v in self.preprocess_variants]
+
+    @property
+    def report_files(self) -> dict:
+        return GRIDS[self.kind]["report_files"]
 
 
 @dataclass(frozen=True)
@@ -178,6 +170,7 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
     on its own, and each cell is then scored alone against the prepared
     reference.
     """
+    variants = spec.preprocess_variants
     try:
         scene = load_scene(entry)
         reference = PreparedReference(
@@ -188,7 +181,7 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
             _error_record(entry["id"], band, algorithm, variant, exc)
             for band in BandName
             for algorithm in spec.algorithms
-            for variant in spec.preprocess_variants
+            for variant in variants
         ]
 
     bands = list(BandName)
@@ -196,7 +189,7 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
     records = []
     for start in range(0, len(bands), per_chunk):
         chunk = bands[start : start + per_chunk]
-        for variant in spec.preprocess_variants:
+        for variant in variants:
             try:
                 processed = run_pipeline(scene.stack[start : start + per_chunk], variant)
             except CELL_ERRORS as exc:
@@ -255,29 +248,43 @@ def corpus_hash(manifest_path) -> str:
 
 
 def aggregate_records(records: list, spec: ExperimentSpec) -> list[dict]:
-    """Per-(variant, band, algorithm, metric) aggregate rows in canonical order."""
+    """Per-(variant, band, algorithm, metric) aggregate rows in canonical order.
+
+    Each row holds the mean and population std of the group's finite values
+    of one metric; non-finite values (PSNR +inf) and error records are
+    counted as excluded. A group's records are taken in image_id order, so
+    the reduction is independent of arrival order. A group with no records
+    gives no rows.
+    """
+    groups = {}
+    for r in sorted(records, key=lambda r: r.image_id):
+        groups.setdefault((r.preprocess_tag, r.band_name, r.algorithm), []).append(r)
     rows = []
-    for tag in spec.variant_tags:
-        subset = [r for r in records if r.preprocess_tag == tag]
-        for band in BandName:
-            for algorithm in spec.algorithms:
-                for metric_name in METRIC_NAMES:
-                    try:
-                        cell = aggregate(subset, band.value, algorithm, metric_name)
-                    except EmptyGroupError:
-                        continue
-                    rows.append(
-                        {
-                            "band": cell.band_name,
-                            "algorithm": cell.algorithm,
-                            "preprocess": tag,
-                            "metric": cell.metric_name,
-                            "mean": cell.mean,
-                            "std": cell.std,
-                            "n_included": cell.n_included,
-                            "n_excluded": cell.n_excluded,
-                        }
-                    )
+    for tag, band, algorithm in itertools.product(spec.variant_tags, BandName, spec.algorithms):
+        group = groups.get((tag, band.value, algorithm))
+        if group is None:
+            continue
+        values = np.array(
+            [[math.nan if r.error else getattr(r, m) for m in METRIC_NAMES] for r in group]
+        )
+        for metric_name, column in zip(METRIC_NAMES, values.T):
+            finite = column[np.isfinite(column)]
+            mean = std = math.nan
+            if len(finite):
+                mean = float(finite.mean())
+                std = float(np.sqrt(np.mean((finite - mean) ** 2)))
+            rows.append(
+                {
+                    "band": band.value,
+                    "algorithm": algorithm,
+                    "preprocess": tag,
+                    "metric": metric_name,
+                    "mean": mean,
+                    "std": std,
+                    "n_included": len(finite),
+                    "n_excluded": len(column) - len(finite),
+                }
+            )
     return rows
 
 
@@ -370,23 +377,25 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean_s} ± {std_s}"
 
 
-def write_records_csv(records: list, path) -> None:
+def _write(path, text: str = "", rows=()) -> None:
+    """Write `text`, then `rows` as CSV lines, to `path`; an OSError is an `IoError`."""
     try:
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(RECORD_COLUMNS)
-            for r in records:
-                if r.error:
-                    metric_cells = ["", "", "", ""]
-                else:
-                    metric_cells = [_fmt(r.rmse), _fmt(r.psnr), _fmt(r.ssim), _fmt(r.uqi)]
-                writer.writerow(
-                    [r.image_id, r.band_name, r.algorithm, r.preprocess_tag]
-                    + metric_cells
-                    + [r.error]
-                )
+            fh.write(text)
+            csv.writer(fh).writerows(rows)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+def write_records_csv(records: list, path) -> None:
+    rows = [RECORD_COLUMNS]
+    for r in records:
+        if r.error:
+            metric_cells = ["", "", "", ""]
+        else:
+            metric_cells = [_fmt(r.rmse), _fmt(r.psnr), _fmt(r.ssim), _fmt(r.uqi)]
+        rows.append([r.image_id, r.band_name, r.algorithm, r.preprocess_tag, *metric_cells, r.error])
+    _write(path, rows=rows)
 
 
 def read_records_csv(path) -> list:
@@ -416,44 +425,40 @@ def read_records_csv(path) -> list:
 
 
 def write_aggregates_csv(rows: list, path) -> None:
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(AGGREGATE_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    [
-                        row["band"],
-                        row["algorithm"],
-                        row["preprocess"],
-                        row["metric"],
-                        _fmt(row["mean"]),
-                        _fmt(row["std"]),
-                        row["n_included"],
-                        row["n_excluded"],
-                    ]
-                )
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    lines = [AGGREGATE_COLUMNS]
+    for row in rows:
+        lines.append(
+            [
+                row["band"],
+                row["algorithm"],
+                row["preprocess"],
+                row["metric"],
+                _fmt(row["mean"]),
+                _fmt(row["std"]),
+                row["n_included"],
+                row["n_excluded"],
+            ]
+        )
+    _write(path, rows=lines)
 
 
-def markdown_table(rows: list, algorithms: tuple = ALGORITHMS, metrics=("psnr", "ssim")) -> str:
+# the columns of the markdown results table: each algorithm's PSNR and SSIM
+_TABLE_CELLS = tuple(itertools.product(ALGORITHMS, ("psnr", "ssim")))
+
+
+def markdown_table(rows: list) -> str:
     """Aggregate table as markdown, 'mean ± std' cells, canonical row order."""
     cells = {(r["band"], r["algorithm"], r["metric"]): r for r in rows}
-    header = ["Band"]
-    for algorithm in algorithms:
-        for metric in metrics:
-            header.append(f"{algorithm.capitalize()} {metric.upper()}")
+    header = ["Band"] + [f"{a.capitalize()} {m.upper()}" for a, m in _TABLE_CELLS]
     lines = [
         "| " + " | ".join(header) + " |",
         "| " + " | ".join("---" for _ in header) + " |",
     ]
     for band in BandName:
         line = [band.display]
-        for algorithm in algorithms:
-            for metric in metrics:
-                row = cells.get((band.value, algorithm, metric))
-                line.append(format_mean_std(row["mean"], row["std"]) if row else "n/a")
+        for algorithm, metric in _TABLE_CELLS:
+            row = cells.get((band.value, algorithm, metric))
+            line.append(format_mean_std(row["mean"], row["std"]) if row else "n/a")
         lines.append("| " + " | ".join(line) + " |")
     return "\n".join(lines) + "\n"
 
@@ -461,35 +466,22 @@ def markdown_table(rows: list, algorithms: tuple = ALGORITHMS, metrics=("psnr", 
 def write_plotdata_csv(rows: list, tags: list, path) -> None:
     """One row per band, one mean-PSNR column per preprocessing variant."""
     cells = {(r["band"], r["preprocess"]): r for r in rows if r["metric"] == "psnr"}
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["band"] + tags)
-            for band in BandName:
-                row = [band.value]
-                for tag in tags:
-                    cell = cells.get((band.value, tag))
-                    row.append(_fmt(cell["mean"]) if cell else "")
-                writer.writerow(row)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
-# report format -> file name, for each experiment kind; `evaluate` writes
-# all of them, and `report` re-creates any one
-REPORT_FILES = {
-    "table1": {"csv": "aggregates.csv", "markdown": "table1.md"},
-    "equalization_ablation": {"csv": "aggregates.csv", "plotdata": "fig5_equalization.csv"},
-    "noise_ablation": {"csv": "aggregates.csv", "plotdata": "fig6_noise.csv"},
-}
+    lines = [["band"] + tags]
+    for band in BandName:
+        row = [band.value]
+        for tag in tags:
+            cell = cells.get((band.value, tag))
+            row.append(_fmt(cell["mean"]) if cell else "")
+        lines.append(row)
+    _write(path, rows=lines)
 
 
 def write_report(result: RunResult, fmt: str, path) -> None:
-    """Write one of the run's `REPORT_FILES` formats to `path`."""
+    """Write one of the run's `report_files` formats to `path`."""
     if fmt == "csv":
         write_aggregates_csv(result.aggregate_rows, path)
     elif fmt == "markdown":
-        Path(path).write_text(markdown_table(result.aggregate_rows, result.spec.algorithms))
+        _write(path, markdown_table(result.aggregate_rows))
     else:
         write_plotdata_csv(result.aggregate_rows, result.spec.variant_tags, path)
 
@@ -505,13 +497,13 @@ def emit_report(result: RunResult, out_dir) -> list[Path]:
     records_path = out_dir / "records.csv"
     write_records_csv(result.records, records_path)
     written = [records_path]
-    for fmt, name in REPORT_FILES[result.spec.kind].items():
+    for fmt, name in result.spec.report_files.items():
         path = out_dir / name
         write_report(result, fmt, path)
         written.append(path)
 
     provenance_path = out_dir / "provenance.json"
-    provenance_path.write_text(json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
+    _write(provenance_path, json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
     written.append(provenance_path)
     return written
 
@@ -519,9 +511,9 @@ def emit_report(result: RunResult, out_dir) -> list[Path]:
 def read_run(records_path) -> RunResult:
     """Read an `emit_report` directory back: records.csv and the provenance.json beside it.
 
-    The grid is the one `ExperimentSpec.for_kind` gives the provenance's
-    experiment kind. A provenance file that names another grid, or a record
-    outside the grid, is a `ParamError`.
+    The grid is the `GRIDS` entry of the provenance's experiment kind. A
+    provenance file that names another grid, or a record outside the grid,
+    is a `ParamError`.
     """
     records_path = Path(records_path)
     provenance_path = records_path.with_name("provenance.json")
@@ -534,10 +526,10 @@ def read_run(records_path) -> RunResult:
     if not isinstance(provenance, dict):
         raise ParamError(f"{provenance_path}: expected a JSON object")
 
-    kind = provenance.get("experiment")
-    if kind not in EXPERIMENT_KINDS:
-        raise ParamError(f"{provenance_path}: unknown experiment kind {kind!r}")
-    spec = ExperimentSpec.for_kind(kind)
+    try:
+        spec = ExperimentSpec(provenance.get("experiment"))
+    except ParamError as exc:
+        raise ParamError(f"{provenance_path}: {exc}") from exc
     grid = {"algorithms": list(spec.algorithms), "preprocess_variants": spec.variant_tags}
     for key, expected in grid.items():
         if provenance.get(key) != expected:

@@ -1,4 +1,4 @@
-"""Image quality metrics (RMSE, PSNR, SSIM, UQI) and corpus aggregation.
+"""Image quality metrics: RMSE, PSNR, SSIM and UQI.
 
 SSIM's Gaussian-weighted and UQI's unweighted window sums are taken by
 `preprocess.window_sums`: along the last axis first, each output adding its
@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EmptyGroupError, ParamError, ShapeError, WindowError
+from .errors import ParamError, ShapeError, WindowError
 from .preprocess import check_sigma, gaussian_kernel_1d, transposed_window_sums, window_sums
 
 
@@ -54,19 +54,6 @@ class MetricRecord:
     ssim: float = math.nan
     uqi: float = math.nan
     error: str = ""
-
-
-@dataclass(frozen=True)
-class AggregateCell:
-    """Mean +/- population std for one (band, algorithm, metric) group."""
-
-    band_name: str
-    algorithm: str
-    metric_name: str
-    mean: float
-    std: float
-    n_included: int
-    n_excluded: int
 
 
 def _as_float(img) -> np.ndarray:
@@ -251,32 +238,3 @@ def compute_all(a, b, params: MetricParams = MetricParams()) -> dict:
         "ssim": _ssim(*products, ref),
         "uqi": _uqi(*products, ref),
     }
-
-
-def aggregate(
-    records: list[MetricRecord], band_name: str, algorithm: str, metric_name: str
-) -> AggregateCell:
-    """Mean and population std over the group's finite metric values.
-
-    Records are sorted by image_id first so the reduction is independent
-    of arrival order; non-finite values (PSNR +inf) and error records are
-    counted as excluded.
-    """
-    group = [
-        r
-        for r in records
-        if r.band_name == band_name and r.algorithm == algorithm
-    ]
-    if not group:
-        raise EmptyGroupError(f"no records for ({band_name}, {algorithm})")
-    group.sort(key=lambda r: r.image_id)
-    values = np.array(
-        [getattr(r, metric_name) if not r.error else math.nan for r in group]
-    )
-    finite = values[np.isfinite(values)]
-    n_excluded = len(values) - len(finite)
-    if len(finite) == 0:
-        return AggregateCell(band_name, algorithm, metric_name, math.nan, math.nan, 0, n_excluded)
-    mean = float(finite.mean())
-    std = float(np.sqrt(np.mean((finite - mean) ** 2)))
-    return AggregateCell(band_name, algorithm, metric_name, mean, std, len(finite), n_excluded)

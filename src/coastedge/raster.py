@@ -151,7 +151,7 @@ def read_npy(path) -> np.ndarray:
         raise FormatError(f"{path}: truncated NPY header")
     try:
         header = ast.literal_eval(data[10:header_end].decode("latin1"))
-    except (ValueError, SyntaxError) as exc:
+    except (ValueError, SyntaxError, TypeError) as exc:  # TypeError: an unhashable key
         raise FormatError(f"{path}: malformed NPY header") from exc
     if not isinstance(header, dict) or not {"descr", "fortran_order", "shape"} <= set(header):
         raise FormatError(f"{path}: NPY header missing required keys")
@@ -159,7 +159,7 @@ def read_npy(path) -> np.ndarray:
     if header["fortran_order"]:
         raise UnsupportedLayout(f"{path}: Fortran-ordered arrays are not supported")
     descr = header["descr"]
-    if descr not in _SUPPORTED_DESCRS:
+    if not isinstance(descr, str) or descr not in _SUPPORTED_DESCRS:
         raise UnsupportedDtype(f"{path}: unsupported dtype {descr!r}")
     shape = header["shape"]
     if not isinstance(shape, tuple) or len(shape) not in (2, 3):
@@ -250,7 +250,12 @@ def load_manifest(path) -> list[dict]:
     entries = []
     seen = set()
     for raw in images:
-        if not isinstance(raw, dict) or not {"id", "image", "label"} <= set(raw):
+        if not (
+            isinstance(raw, dict)
+            and {"id", "image", "label"} <= set(raw)
+            and isinstance(raw["image"], str)
+            and isinstance(raw["label"], str)
+        ):
             raise CorpusError(f"manifest {path}: malformed image entry {raw!r}")
         image_id = str(raw["id"])
         if image_id in seen:

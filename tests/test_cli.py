@@ -86,6 +86,12 @@ class TestSynth:
         assert not (tmp_path / "x").exists()
 
 
+def list_descr(npy: bytes) -> bytes:
+    """A u2 NPY file whose header gives its descr as a list, at the same header length."""
+    assert b"'descr': '<u2', " in npy
+    return npy.replace(b"'descr': '<u2', ", b"'descr':['<u2'],", 1)
+
+
 class TestDetect:
     def test_writes_pgm(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "edges.pgm"
@@ -140,6 +146,16 @@ class TestDetect:
         )
         assert code == 1
         assert "shape entries must be non-negative ints" in err
+
+    def test_list_descr_is_usage_error(self, corpus_dir, tmp_path, capsys):
+        path = corpus_dir / "synth_000010_image.npy"
+        path.write_bytes(list_descr(path.read_bytes()))
+        code, _, err = run(
+            capsys, "detect", "--input", str(path),
+            "--band", "Blue", "--out", str(tmp_path / "x.pgm"),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "unsupported dtype ['<u2']" in err
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "detect", "--band", "Blue")
@@ -240,6 +256,21 @@ class TestEvaluate:
         assert "failed" in err
         assert (tmp_path / "r" / "records.csv").exists()
 
+    def test_malformed_npy_header_gives_error_records(self, corpus_dir, tmp_path, capsys):
+        path = corpus_dir / "synth_000011_image.npy"
+        path.write_bytes(list_descr(path.read_bytes()))
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(corpus_dir / "manifest.json"),
+            "--experiment", "table1", "--out-dir", str(tmp_path / "r"),
+        )
+        assert code == 3
+        assert "48 cell(s) failed in table1" in err
+        with open(tmp_path / "r" / "records.csv", newline="") as fh:
+            failed = [row for row in csv.DictReader(fh) if row["error"]]
+        assert len(failed) == 48
+        assert {row["image_id"] for row in failed} == {"synth_000011"}
+        assert all(row["error"].startswith("UnsupportedDtype: ") for row in failed)
+
     def test_too_small_chip_error_records(self, tmp_path, capsys):
         # a 4x4 chip is too small for the 5-wide Gaussian blur of preprocessing
         # and of Canny: every cell is an error record naming the band's (H, W)
@@ -300,6 +331,19 @@ class TestEvaluate:
         assert code == 1
         assert err.startswith("error: ") and flag[2:].replace("-", "_") in err
         assert not (out / "records.csv").exists()
+
+    @pytest.mark.parametrize("value", [5, None, ["synth_000010_image.npy"]], ids=["int", "null", "list"])
+    def test_non_string_image_path_is_io_error(self, corpus_dir, tmp_path, capsys, value):
+        manifest = corpus_dir / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        doc["images"][1]["image"] = value
+        manifest.write_text(json.dumps(doc))
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(manifest),
+            "--experiment", "table1", "--out-dir", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert "malformed image entry" in err and doc["images"][1]["id"] in err
 
     def test_missing_manifest_is_io_error(self, tmp_path, capsys):
         code, _, _ = run(

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from coastedge.harness import EXPERIMENT_KINDS, ExperimentSpec, emit_report, run_experiment
+from coastedge.harness import GRIDS, ExperimentSpec, emit_report, run_experiment
 from coastedge.synth import SynthSpec, generate_corpus
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -14,16 +14,16 @@ GOLDEN = Path(__file__).parent / "golden"
 # hold NMS near-ties, where neighbouring magnitudes differ by less than one
 # ulp, and the 256² scene locks the path where a row holds many windows
 CORPORA = {
-    ".": (SynthSpec(size=64, seed=0, boundary="sinusoid", noise_sigma=300.0), 3, EXPERIMENT_KINDS),
+    ".": (SynthSpec(size=64, seed=0, boundary="sinusoid", noise_sigma=300.0), 3, tuple(GRIDS)),
     "sigma0/halfplane": (
         SynthSpec(size=64, seed=0, boundary="halfplane", noise_sigma=0.0, development_count=2),
         3,
-        EXPERIMENT_KINDS,
+        tuple(GRIDS),
     ),
     "sigma0/blob": (
         SynthSpec(size=64, seed=0, boundary="blob", noise_sigma=0.0, development_count=2),
         3,
-        EXPERIMENT_KINDS,
+        tuple(GRIDS),
     ),
     "size256": (SynthSpec(size=256, seed=1000, boundary="sinusoid", noise_sigma=300.0), 1, ("table1",)),
 }

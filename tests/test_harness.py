@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 from coastedge import harness
 from coastedge.edgedetect import ALGORITHMS, CannyParams, detect
-from coastedge.errors import ParamError
+from coastedge.errors import IoError, ParamError
 from coastedge.harness import (
     AGGREGATE_COLUMNS,
-    EXPERIMENT_KINDS,
+    GRIDS,
     RECORD_COLUMNS,
     ExperimentSpec,
     aggregate_records,
@@ -116,7 +116,7 @@ def small_chip_cases(draw):
     seed for its samples and label."""
     odd = st.integers(1, 4).map(lambda n: 2 * n + 1)
     spec = ExperimentSpec.for_kind(
-        draw(st.sampled_from(EXPERIMENT_KINDS)),
+        draw(st.sampled_from(list(GRIDS))),
         base=PreprocessSpec(gaussian_kernel_size=draw(odd), closing_element=draw(odd)),
         canny_params=CannyParams(smoothing=draw(st.booleans()), smooth_kernel_size=draw(odd)),
         metric_params=MetricParams(ssim_window=draw(odd), uqi_window=draw(st.integers(2, 9))),
@@ -202,7 +202,7 @@ class TestBandIndependence:
         if size == 48:  # the harness splits the 12 bands into chunks of unequal size
             assert 12 % per_chunk
         chunks = [scene.stack, scene.stack[:per_chunk], scene.stack[per_chunk:]]
-        variants = {v for kind in EXPERIMENT_KINDS for v in ExperimentSpec.for_kind(kind).preprocess_variants}
+        variants = {v for kind in GRIDS for v in ExperimentSpec.for_kind(kind).preprocess_variants}
         for variant in variants:
             alone = [run_pipeline(scene.stack[i : i + 1], variant) for i in range(12)]
             processed = [run_pipeline(chunk, variant) for chunk in chunks]
@@ -219,7 +219,7 @@ class TestBandIndependence:
         manifest = independence_scene(tmp_path)
         scene = load_scene(load_manifest(manifest)[0])
         reference = PreparedReference(derive_reference(scene.label), MetricParams())
-        for kind in EXPERIMENT_KINDS:
+        for kind in GRIDS:
             spec = ExperimentSpec.for_kind(kind)
             expected = []
             for i, band in enumerate(BandName):
@@ -263,8 +263,6 @@ class TestExperimentSpec:
     def test_validation(self):
         with pytest.raises(ParamError):
             ExperimentSpec(kind="table7")
-        with pytest.raises(ParamError):
-            ExperimentSpec(kind="table1", algorithms=("roberts",))
         with pytest.raises(ParamError):
             ExperimentSpec(kind="table1", worker_count=0)
 
@@ -395,3 +393,10 @@ class TestEmitReport:
         assert rows[0] == ["band", "eq=on,noise=gaussian", "eq=off,noise=gaussian"]
         assert len(rows) == 13
         assert all(len(row) == 3 for row in rows)
+
+    @pytest.mark.parametrize("name", ["provenance.json", "table1.md"])
+    def test_unwritable_file_is_io_error(self, small_corpus, tmp_path, name):
+        result = run_experiment(small_corpus, ExperimentSpec.for_kind("table1"))
+        (tmp_path / "out" / name).mkdir(parents=True)
+        with pytest.raises(IoError, match=f"cannot write .*{name}"):
+            emit_report(result, tmp_path / "out")

@@ -8,12 +8,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from coastedge.errors import EmptyGroupError, ParamError, ShapeError, WindowError
+from coastedge.errors import ParamError, ShapeError, WindowError
+from coastedge.harness import ExperimentSpec, aggregate_records
 from coastedge.metrics import (
     MetricParams,
     MetricRecord,
     PreparedReference,
-    aggregate,
     compute_all,
     psnr,
     rmse,
@@ -373,43 +373,58 @@ def record(image_id, psnr_value):
     )
 
 
+def blue_canny_psnr(records):
+    """The (Blue, canny) PSNR row `aggregate_records` gives over `records` in the table1 grid."""
+    rows = aggregate_records(records, ExperimentSpec("table1"))
+    (row,) = [r for r in rows if (r["band"], r["algorithm"], r["metric"]) == ("Blue", "canny", "psnr")]
+    return row
+
+
 class TestAggregate:
+    """Corpus aggregation of metric records (`harness.aggregate_records`)."""
+
     def test_mean_and_population_std(self):
         records = [record(f"i{i}", float(v)) for i, v in enumerate((1, 2, 3))]
-        cell = aggregate(records, "Blue", "canny", "psnr")
-        assert cell.mean == 2.0
-        assert abs(cell.std - math.sqrt(2.0 / 3.0)) < 1e-12
-        assert cell.n_included == 3 and cell.n_excluded == 0
+        row = blue_canny_psnr(records)
+        assert row["mean"] == 2.0
+        assert abs(row["std"] - math.sqrt(2.0 / 3.0)) < 1e-12
+        assert row["n_included"] == 3 and row["n_excluded"] == 0
 
     def test_infinite_values_excluded(self):
         records = [record("a", 5.0), record("b", math.inf)]
-        cell = aggregate(records, "Blue", "canny", "psnr")
-        assert cell.mean == 5.0
-        assert cell.n_included == 1 and cell.n_excluded == 1
+        row = blue_canny_psnr(records)
+        assert row["mean"] == 5.0
+        assert row["n_included"] == 1 and row["n_excluded"] == 1
 
     def test_error_records_excluded(self):
         records = [
             record("a", 5.0),
             MetricRecord("b", "Blue", "canny", "eq=on,noise=gaussian", error="boom"),
         ]
-        cell = aggregate(records, "Blue", "canny", "psnr")
-        assert cell.n_included == 1 and cell.n_excluded == 1
+        row = blue_canny_psnr(records)
+        assert row["mean"] == 5.0
+        assert row["n_included"] == 1 and row["n_excluded"] == 1
 
-    def test_order_independent(self):
-        records = [record(f"i{i}", float(i)) for i in range(6)]
-        forward = aggregate(records, "Blue", "canny", "psnr")
-        backward = aggregate(records[::-1], "Blue", "canny", "psnr")
-        assert forward == backward
+    def test_order_independent(self, rng):
+        records = [record(f"i{i}", float(v)) for i, v in enumerate(rng.random(6) * 30)]
+        spec = ExperimentSpec("table1")
+        forward = aggregate_records(records, spec)
+        assert aggregate_records(records[::-1], spec) == forward
+        assert aggregate_records([records[i] for i in rng.permutation(6)], spec) == forward
 
     def test_matches_two_pass(self, rng):
         values = rng.random(20) * 30
         records = [record(f"i{i:02d}", float(v)) for i, v in enumerate(values)]
-        cell = aggregate(records, "Blue", "canny", "psnr")
+        row = blue_canny_psnr(records)
         mean = sum(values) / len(values)
         var = sum((v - mean) ** 2 for v in values) / len(values)
-        assert abs(cell.mean - mean) < 1e-12
-        assert abs(cell.std - math.sqrt(var)) < 1e-12
+        assert abs(row["mean"] - mean) < 1e-12
+        assert abs(row["std"] - math.sqrt(var)) < 1e-12
 
     def test_empty_group(self):
-        with pytest.raises(EmptyGroupError):
-            aggregate([record("a", 1.0)], "Red", "canny", "psnr")
+        # only the (Blue, canny) group has records; every other group gives no rows
+        rows = aggregate_records([record("a", 1.0)], ExperimentSpec("table1"))
+        assert [(r["band"], r["algorithm"], r["metric"]) for r in rows] == [
+            ("Blue", "canny", metric) for metric in ("rmse", "psnr", "ssim", "uqi")
+        ]
+        assert aggregate_records([], ExperimentSpec("table1")) == []

@@ -84,11 +84,15 @@ class TestDomainTypes:
             Scene(id="x", stack=clean_scene.stack[:11], label=clean_scene.label)
 
 
-def _npy_bytes(shape: str, payload: bytes) -> bytes:
-    """An NPY v1.0 file of u1 elements with a hand-written shape entry."""
-    header = f"{{'descr': '|u1', 'fortran_order': False, 'shape': {shape}, }}"
+def _npy_file(header: str, payload: bytes) -> bytes:
+    """An NPY v1.0 file with a hand-written header dict."""
     header += " " * (-(len(header) + 11) % 64) + "\n"
     return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(header)) + header.encode() + payload
+
+
+def _npy_bytes(shape: str, payload: bytes) -> bytes:
+    """An NPY v1.0 file of u1 elements with a hand-written shape entry."""
+    return _npy_file(f"{{'descr': '|u1', 'fortran_order': False, 'shape': {shape}, }}", payload)
 
 
 class TestNpy:
@@ -157,6 +161,23 @@ class TestNpy:
     def test_strict_shape_and_payload_length(self, tmp_path, shape, payload):
         path = tmp_path / "bad.npy"
         path.write_bytes(_npy_bytes(shape, b"\x01" * payload))
+        with pytest.raises(FormatError):
+            read_npy(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "{'descr': ['<u2'], 'fortran_order': False, 'shape': (2, 4), }",
+            "{[1]: 2}",
+            "{'descr': '|u1', 'fortran_order': False, }",
+            "['descr', 'fortran_order', 'shape']",
+            "{'descr': '|u1', 'fortran_order': False, 'shape': (2, 4), ",
+        ],
+        ids=["list-descr", "unhashable-key", "missing-shape", "not-a-dict", "unclosed"],
+    )
+    def test_malformed_header(self, tmp_path, header):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(_npy_file(header, b"\x01" * 16))
         with pytest.raises(FormatError):
             read_npy(path)
 
@@ -338,11 +359,16 @@ class TestManifest:
             load_manifest(path)
 
     def test_malformed_entry(self, tmp_path):
-        doc = {"band_order": CANONICAL_NAMES, "images": [{"id": "x"}]}
         path = tmp_path / "m.json"
-        path.write_text(json.dumps(doc))
-        with pytest.raises(CorpusError):
-            load_manifest(path)
+        for entry in (
+            {"id": "x"},
+            {"id": "x", "image": 5, "label": "x_label.npy"},
+            {"id": "x", "image": None, "label": "x_label.npy"},
+            {"id": "x", "image": "x_image.npy", "label": ["x_label.npy"]},
+        ):
+            path.write_text(json.dumps({"band_order": CANONICAL_NAMES, "images": [entry]}))
+            with pytest.raises(CorpusError, match="malformed image entry"):
+                load_manifest(path)
 
     def test_duplicate_ids_rejected(self, small_corpus, tmp_path):
         doc = json.loads(small_corpus.read_text())
