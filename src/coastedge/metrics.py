@@ -175,25 +175,39 @@ def _uqi(at: np.ndarray, aat: np.ndarray, abt: np.ndarray, ref: PreparedReferenc
     # images: both windows are flat iff n*sum(a*a) - sum(a)**2 and its b
     # counterpart are 0, and their means are equal iff the sums are.
     degenerate = (n * total_aa - total_a * total_a) + spread_b <= 0
-    skip = None
-    if degenerate.any():
+    keep = None
+    if not degenerate.any():
+        degenerate = None
+    else:
         skip = degenerate & (total_a == total_b)
         if skip.all():
             return 0.0
+        if skip.any():
+            # only the windows that count, gathered in C order: each of their
+            # q is computed as on the whole plane, on a fraction of it (on a
+            # Canny map most windows are skipped)
+            keep = np.flatnonzero(~skip)
+            total_a = total_a.ravel()[keep]
+            total_aa = total_aa.ravel()[keep]
+            degenerate = degenerate.ravel()[keep]
+            mu_b, mu_b_sq, var_b = mu_b.ravel()[keep], mu_b_sq.ravel()[keep], var_b.ravel()[keep]
 
     mu_a = total_a / n
     mu_a_sq = mu_a**2
     var_a = total_aa / n - mu_a_sq
-    # freed before the q temporaries are made, the memory peak of scoring
+    # each sum is freed before the next full-plane temporaries are made,
+    # the memory peak of scoring
     del total_a, total_aa
-    cov = transposed_window_sums(abt, ones) / n - mu_a * mu_b
+    total_ab = transposed_window_sums(abt, ones)
+    if keep is not None:
+        total_ab = total_ab.ravel()[keep]
+    cov = total_ab / n - mu_a * mu_b
+    del total_ab
     with np.errstate(divide="ignore", invalid="ignore"):
         q = (4.0 * cov * mu_a * mu_b) / ((var_a + var_b) * (mu_a_sq + mu_b_sq))
-    if skip is not None:
+    if degenerate is not None:
         q = np.where(degenerate, 0.0, q)
-        if skip.any():
-            q = q[~skip]
-    # q is C-contiguous, so a full q sums in the order of its compacted copy.
+    # q is C-contiguous, so a whole-plane q sums in the order of a gathered one.
     # Each index lies in [-1, 1] in exact arithmetic, but a rounded one can
     # land an ulp outside it (identical images can give 1.0000000000000002),
     # and so can their mean; np.clip brings the mean back and keeps a NaN.

@@ -23,6 +23,12 @@ buffer (2.9 us a call, against 23 us for numpy's sliding-window view), and
 `pad_edges` replicates borders by slice copies (numpy.pad in edge mode
 costs about 50 us a call at 64x64 and at 256x256). Both give the same
 values, so every sum keeps its bits.
+
+The closing is a separable window max, then a window min, over edge pads;
+max and min are exact, so it equals scipy.ndimage.grey_closing in nearest
+mode bit for bit. This package needs numpy alone at run time: importing
+scipy.ndimage took 0.4 s of a fresh process, and its closing ran 3-6x
+slower than these numpy passes.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import KernelTooLarge, ParamError
 
@@ -207,15 +212,34 @@ def gaussian_blur(image: np.ndarray, kernel_size: int = 5, sigma: float = 1.0) -
     return np.clip(round_half_up(out), 0.0, 255.0)
 
 
+def _window_extreme(image: np.ndarray, size: int, extreme) -> np.ndarray:
+    """`extreme` (np.maximum or np.minimum) over each size x size window of each plane.
+
+    Edge-replicated borders, taken separably: along the rows of the padded
+    planes, then down their columns. Max and min are exact, so the order of
+    the taps does not matter.
+    """
+    h, w = image.shape[-2:]
+    padded = pad_edges(image, size // 2)
+    rows = extreme(padded[..., :, :w], padded[..., :, 1 : 1 + w])
+    for t in range(2, size):
+        extreme(rows, padded[..., :, t : t + w], out=rows)
+    out = extreme(rows[..., :h, :], rows[..., 1 : 1 + h, :])
+    for t in range(2, size):
+        extreme(out, rows[..., t : t + h, :], out=out)
+    return out
+
+
 def morphological_closing(image: np.ndarray, element_size: int = 3) -> np.ndarray:
     """Grayscale closing of each plane (..., H, W): window max, then window min.
 
-    Square element, edge-replicated borders.
+    Square element, edge-replicated borders; the element may be wider than
+    the planes, where the border pad is too.
     """
     if element_size < 3 or element_size % 2 == 0:
         raise ParamError("closing element must be odd and >= 3")
-    size = (1,) * (image.ndim - 2) + (element_size, element_size)
-    return ndimage.grey_closing(image, size=size, mode="nearest")
+    dilated = _window_extreme(image, element_size, np.maximum)
+    return _window_extreme(dilated, element_size, np.minimum)
 
 
 def run_pipeline(image: np.ndarray, spec: PreprocessSpec) -> np.ndarray:

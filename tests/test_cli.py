@@ -2,12 +2,17 @@
 
 import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coastedge
 from coastedge.cli import main
 from coastedge.edgedetect import ALGORITHMS
 from coastedge.raster import BandName, read_npy, write_npy
@@ -520,3 +525,77 @@ class TestReport:
         assert code == 1
         assert value in err and "is outside the table1 grid" in err
         assert not out.exists()
+
+
+# A fresh interpreter where importing scipy, or any of its modules, raises.
+BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ImportError(f"{name} imported at run time")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+RUN_WITHOUT_SCIPY = BLOCK_SCIPY + """
+from pathlib import Path
+
+from coastedge.cli import main
+
+base = Path(sys.argv[1])
+corpus = base / "corpus"
+steps = [
+    ["synth", "--n", "1", "--size", "32", "--seed", "10", "--noise-sigma", "150",
+     "--out-dir", str(corpus)],
+    ["detect", "--input", str(corpus / "synth_000010_image.npy"),
+     "--label", str(corpus / "synth_000010_label.npy"), "--band", "NIR",
+     "--algorithm", "canny", "--out", str(base / "edges.pgm")],
+    ["evaluate", "--manifest", str(corpus / "manifest.json"), "--experiment", "noise",
+     "--out-dir", str(base / "noise")],
+]
+for argv in steps:
+    code = main(argv)
+    if code != 0:
+        sys.exit(f"{argv[0]} exited {code}")
+"""
+
+LIST_SCIPY_MODULES = """
+import sys
+
+import coastedge.cli
+
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def fresh_python(*args):
+    """Run a fresh interpreter that imports this checkout's coastedge."""
+    src = str(Path(coastedge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+class TestNoScipyAtRunTime:
+    """scipy is a test-only dependency: the commands run with its import blocked."""
+
+    def test_synth_detect_and_closing_evaluate_run_with_scipy_blocked(self, tmp_path):
+        proc = fresh_python("-c", RUN_WITHOUT_SCIPY, str(tmp_path))
+        assert proc.returncode == 0, proc.stderr
+        assert (tmp_path / "edges.pgm").exists()
+        with open(tmp_path / "noise" / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert not any(row["error"] for row in rows)
+        assert "eq=on,noise=closing" in {row["preprocess"] for row in rows}
+
+    def test_import_loads_no_scipy_module(self):
+        proc = fresh_python("-c", LIST_SCIPY_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

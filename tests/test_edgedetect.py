@@ -5,14 +5,16 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy import ndimage
 
 from coastedge.edgedetect import (
     KERNELS,
     CannyParams,
     _direction_sector,
+    _hysteresis,
     _separable_gradients,
     canny,
     canny_debug,
@@ -295,8 +297,6 @@ class TestCanny:
         # every edge pixel reaches the low threshold
         assert (debug["normalized_magnitude"][on] >= params.low_threshold).all()
         # weak pixels must be 8-connected to a strong pixel through edge pixels
-        from scipy import ndimage
-
         labels, count = ndimage.label(on, structure=np.ones((3, 3)))
         strong_labels = set(np.unique(labels[debug["strong"]]))
         for lbl in range(1, count + 1):
@@ -431,6 +431,69 @@ class TestCannyOracle:
             ties += int(((diff == 0) & (field.magnitude > 0)).sum())
             near += int(((diff != 0) & (np.abs(diff) < 1e-9)).sum())
         assert ties > 0 and near > 0
+
+
+def hysteresis_of(candidate, strong):
+    """`_hysteresis` on boolean candidate and strong masks, as a boolean mask."""
+    index = np.flatnonzero(candidate)
+    edges = _hysteresis(candidate.shape, index, strong.ravel()[index])
+    assert edges.dtype == np.uint8 and np.isin(edges, (0, 255)).all()
+    return edges == 255
+
+
+def hysteresis_by_labels(candidate, strong):
+    """The candidates whose 8-connected component in their plane holds a strong pixel."""
+    keep = np.zeros_like(candidate)
+    for i, plane in enumerate(candidate):
+        labels, _ = ndimage.label(plane, structure=np.ones((3, 3)))
+        keep[i] = np.isin(labels, labels[strong[i]]) & (labels > 0)
+    return keep
+
+
+@st.composite
+def hysteresis_cases(draw):
+    """Candidate masks of 1-3 planes, sides 1-40 and any density, and strong
+    masks among their candidates."""
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 40)), draw(st.integers(1, 40)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    candidate = rng.random(shape) < draw(st.floats(0.0, 1.0))
+    strong = candidate & (rng.random(shape) < draw(st.floats(0.0, 1.0)))
+    return candidate, strong
+
+
+def plane_ends_case():
+    """Plane 0 ends in a strong row, plane 1 starts with weak candidates, and
+    a weak pixel starts the row after a strong one ends: in flat order each
+    pair is adjacent, but none are 8-neighbours."""
+    candidate = np.zeros((2, 4, 4), dtype=bool)
+    strong = np.zeros_like(candidate)
+    candidate[0, 3] = strong[0, 3] = True
+    candidate[1, 0] = True
+    candidate[1, 2, 3] = strong[1, 2, 3] = True
+    candidate[1, 3, 0] = True
+    return candidate, strong
+
+
+def border_case():
+    """A ring along every border with one strong corner, a full plane without
+    a strong pixel and a full plane with one."""
+    candidate = np.ones((3, 5, 6), dtype=bool)
+    candidate[0, 1:-1, 1:-1] = False
+    strong = np.zeros_like(candidate)
+    strong[0, -1, -1] = strong[2, 2, 3] = True
+    return candidate, strong
+
+
+class TestHysteresis:
+    """The union-find hysteresis against connected components from scipy."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(hysteresis_cases())
+    @example(plane_ends_case())
+    @example(border_case())
+    def test_keeps_components_that_hold_a_strong_pixel(self, case):
+        candidate, strong = case
+        np.testing.assert_array_equal(hysteresis_of(candidate, strong), hysteresis_by_labels(candidate, strong))
 
 
 class TestDetect:

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -362,7 +362,8 @@ def preprocess_cases(draw):
         gaussian_kernel_size=2 * draw(st.integers(1, 4)) + 1,
         # every sigma > 0 whose square is above 0, infinity included
         gaussian_sigma=draw(st.floats(min_value=0.0, exclude_min=True).filter(lambda s: s * s > 0)),
-        closing_element=2 * draw(st.integers(1, 4)) + 1,
+        # up to 17, longer than any side drawn here: the pad is then wider than the plane
+        closing_element=2 * draw(st.integers(1, 8)) + 1,
     )
     least = spec.gaussian_kernel_size
     shape = (draw(st.integers(1, 3)), draw(st.integers(least, least + 6)), draw(st.integers(least, least + 6)))
@@ -374,6 +375,7 @@ def preprocess_cases(draw):
 class TestOracleProperties:
     @settings(max_examples=60, deadline=None)
     @given(preprocess_cases())
+    @example((PreprocessSpec(gaussian_kernel_size=3, closing_element=9), np.arange(24.0).reshape(2, 3, 4) * 10))
     def test_stages_match_oracles(self, case):
         spec, stack = case
         blurred = blur_array(stack, spec.gaussian_kernel_size, spec.gaussian_sigma)
