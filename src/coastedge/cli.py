@@ -12,22 +12,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .edgedetect import ALGORITHMS, CannyParams, detect
+from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
-from .harness import (
-    GRIDS,
-    ExperimentSpec,
-    derive_reference,
-    emit_report,
-    markdown_table,
-    read_run,
-    run_experiment,
-    write_report,
-)
 from .metrics import MetricParams, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import BandName, LabelMask, check_samples, read_npy, write_npy, write_pgm
-from .synth import SynthSpec, generate_corpus
+from .raster import BandName, LabelMask, check_samples, read_npy, read_stack, write_npy, write_pgm
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -46,6 +35,11 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise CliError(f"{self.prog}: {message}")
+
+
+# `evaluate --experiment` names, each for one kind of `harness.GRIDS`; "all"
+# runs every kind
+_EXPERIMENT_KINDS = {"table1": "table1", "equalization": "equalization_ablation", "noise": "noise_ablation"}
 
 
 def _add_canny_flags(parser):
@@ -88,7 +82,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("evaluate", formatter_class=fmt, help="run a benchmark experiment over a corpus")
     p.add_argument("--manifest", required=True, help="corpus manifest JSON")
-    p.add_argument("--experiment", choices=("table1", "equalization", "noise", "all"), default="table1")
+    p.add_argument("--experiment", choices=(*_EXPERIMENT_KINDS, "all"), default="table1")
     p.add_argument("--out-dir", required=True, help="report output directory")
     p.add_argument("--workers", type=int, default=1, help="parallel image workers")
     _add_preprocess_flags(p)
@@ -144,10 +138,7 @@ def _metric_params(args) -> MetricParams:
 
 def _read_band(path, band_name: BandName) -> np.ndarray:
     """One band of an HxWx12 image stack as checked float64 samples; the rest is not kept."""
-    image = read_npy(path)
-    if image.ndim != 3 or image.shape[2] != 12:
-        raise CliError(f"{path}: expected an HxWx12 image stack, got shape {image.shape}")
-    return check_samples(image[:, :, list(BandName).index(band_name)])
+    return check_samples(read_stack(path, path)[list(BandName).index(band_name)])
 
 
 def cmd_detect(args) -> int:
@@ -180,16 +171,12 @@ def cmd_detect(args) -> int:
     return EXIT_OK
 
 
-_EXPERIMENT_ALIASES = {
-    "table1": ["table1"],
-    "equalization": ["equalization_ablation"],
-    "noise": ["noise_ablation"],
-    "all": list(GRIDS),
-}
-
-
 def cmd_evaluate(args) -> int:
-    kinds = _EXPERIMENT_ALIASES[args.experiment]
+    # every command is a fresh process, so the batch harness and the corpus
+    # generator are imported only by the commands that run them
+    from .harness import GRIDS, ExperimentSpec, emit_report, markdown_table, run_experiment
+
+    kinds = list(GRIDS) if args.experiment == "all" else [_EXPERIMENT_KINDS[args.experiment]]
     out_base = Path(args.out_dir)
     any_errors = False
     for kind in kinds:
@@ -215,6 +202,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    from .synth import SynthSpec, generate_corpus
+
     spec = SynthSpec(
         size=args.size,
         seed=args.seed,
@@ -230,6 +219,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .harness import read_run, write_report
+
     result = read_run(args.records)
     formats = result.spec.report_files
     if args.format not in formats:
@@ -263,7 +254,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (CoastEdgeError, ValueError) as exc:
+    except CoastEdgeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

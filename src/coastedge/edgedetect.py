@@ -20,16 +20,21 @@ those (`_nms_at`), and hysteresis joins the survivors into 8-connected
 components by a union-find over their neighbour links (`_hysteresis`).
 Neither needs a labelling library: importing scipy.ndimage took 0.4 s of
 a fresh process, many times the work of one `detect` call.
+
+The reference edges every map is scored against are Canny too, on the
+binary label x 255 with smoothing off (`derive_reference`); `evaluate` and
+`detect --label` both take them from here.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ParamError
-from .preprocess import blur_array, check_sigma, normalize_planes, pad_edges
+from .preprocess import blur_array, check_sigma, normalize_planes, pad_edges, round_half_up
+from .raster import LabelMask
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
 
@@ -59,14 +64,6 @@ class CannyParams:
         if self.smooth_kernel_size < 3 or self.smooth_kernel_size % 2 == 0:
             raise ParamError("smooth_kernel_size must be odd and >= 3")
         check_sigma("smooth_sigma", self.smooth_sigma)
-
-
-@dataclass(frozen=True)
-class GradientField:
-    """Per-pixel gradient magnitude and direction (atan2(gy, gx))."""
-
-    magnitude: np.ndarray
-    direction: np.ndarray
 
 
 def _separable_gradients(image: np.ndarray, weights: tuple[int, int]) -> tuple:
@@ -101,25 +98,14 @@ def _magnitude(gx: np.ndarray, gy: np.ndarray) -> np.ndarray:
     return np.sqrt(magnitude, out=magnitude)
 
 
-def gradient_field(image: np.ndarray, weights: tuple[int, int]) -> GradientField:
-    """Gradient responses of a `KERNELS` entry; magnitude = sqrt(gx² + gy²), direction = atan2."""
-    gx, gy = _separable_gradients(image, weights)
-    return GradientField(magnitude=_magnitude(gx, gy), direction=np.arctan2(gy, gx))
-
-
 def gradient_magnitude(image: np.ndarray, weights: tuple[int, int]) -> np.ndarray:
-    """Gradient magnitude only; equals gradient_field(image, weights).magnitude."""
+    """Gradient magnitude sqrt(gx² + gy²) of a `KERNELS` entry."""
     return _magnitude(*_separable_gradients(image, weights))
 
 
 def magnitude_to_edgemap(magnitude: np.ndarray) -> np.ndarray:
-    """Quantize each plane's normalized gradient magnitude to an 8-bit uint8 map.
-
-    round_half_up(normalize_planes(magnitude)), done in normalize_planes' buffer.
-    """
-    levels = normalize_planes(magnitude)
-    levels += 0.5
-    return np.floor(levels, out=levels).astype(np.uint8)
+    """Quantize each plane's normalized gradient magnitude to an 8-bit uint8 map."""
+    return round_half_up(normalize_planes(magnitude)).astype(np.uint8)
 
 
 def _direction_sector(direction: np.ndarray) -> np.ndarray:
@@ -250,6 +236,15 @@ def canny_debug(image: np.ndarray, params: CannyParams = CannyParams()):
     nms = _nms_at(magnitude, gx, gy, np.arange(magnitude.size)).reshape(magnitude.shape)
     strong = nms & (normalized >= params.high_threshold)
     return edges, {"normalized_magnitude": normalized, "nms_mask": nms, "strong": strong}
+
+
+def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()) -> np.ndarray:
+    """Ground-truth coastline edges, a 0/255 uint8 map: Canny applied to the binary label x 255.
+
+    Internal smoothing is disabled so every reference edge pixel is
+    guaranteed to touch (8-adjacency) a pixel of the opposite label class.
+    """
+    return canny(label.values * 255.0, replace(canny_params, smoothing=False))
 
 
 def detect(image: np.ndarray, algorithm: str, params: CannyParams = CannyParams()) -> np.ndarray:

@@ -25,6 +25,10 @@ class ShapeError(CoastEdgeError):
     """Array dimensions do not match what the operation requires."""
 
 
+class SampleError(CoastEdgeError, ValueError):
+    """Band samples that are not finite and non-negative."""
+
+
 class LabelError(CoastEdgeError):
     """Land/water label is not strictly binary."""
 

@@ -1,8 +1,12 @@
-"""Benchmark harness: reference derivation, experiment grids, report emission.
+"""Benchmark harness: experiment grids, per-scene scoring, report emission.
 
 Runs three experiment shapes over any corpus described by a manifest:
 the full band x algorithm results table, the histogram-equalization
-ablation and the noise-reduction ablation.
+ablation and the noise-reduction ablation. Scenes come from
+`raster.load_scene` and their reference edges from
+`edgedetect.derive_reference`; only a `CoastEdgeError` becomes an error
+record, anything else is a bug and propagates. Only `evaluate` and `report`
+import this module.
 """
 
 from __future__ import annotations
@@ -20,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .edgedetect import ALGORITHMS, CannyParams, canny, detect
+from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ParamError
 from .metrics import METRIC_NAMES, MetricParams, MetricRecord, PreparedReference, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import BandName, LabelMask, Scene, load_manifest, load_scene
+from .raster import BandName, Scene, load_manifest, load_scene
 
 # experiment kind -> its algorithms, the (equalize, noise_reduction) pair of
 # each preprocessing variant, and its report files (format -> file name);
@@ -99,18 +103,9 @@ class RunResult:
     provenance: dict
 
 
-def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()) -> np.ndarray:
-    """Ground-truth coastline edges, a 0/255 uint8 map: Canny applied to the binary label x 255.
-
-    Internal smoothing is disabled so every reference edge pixel is
-    guaranteed to touch (8-adjacency) a pixel of the opposite label class.
-    """
-    return canny(label.values * 255.0, replace(canny_params, smoothing=False))
-
-
 # Faults of a cell's data or parameters. Anything else is a bug in the
 # toolkit: it propagates instead of becoming an error record.
-CELL_ERRORS = (CoastEdgeError, ArithmeticError, ValueError)
+CELL_ERRORS = CoastEdgeError
 
 
 def _error_record(
@@ -297,15 +292,14 @@ def run_experiment(manifest_path, spec: ExperimentSpec) -> RunResult:
     """
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
-    if not entries:
-        records = []
-    elif spec.worker_count == 1:
-        records = []
+    # a pool starts all its workers at once, so it gets no more than one per scene
+    workers = min(spec.worker_count, len(entries))
+    records = []
+    if workers <= 1:
         for entry in entries:
             records.extend(_scene_records(entry, spec))
     else:
-        records = []
-        with concurrent.futures.ProcessPoolExecutor(max_workers=spec.worker_count) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             for chunk in pool.map(_scene_records, entries, [spec] * len(entries)):
                 records.extend(chunk)
 

@@ -68,8 +68,9 @@ class PreprocessSpec:
 
 
 def round_half_up(x: np.ndarray) -> np.ndarray:
-    """Round half-up quantization for non-negative values."""
-    return np.floor(np.asarray(x) + 0.5)
+    """Round half-up quantization of non-negative float values, in x's own buffer."""
+    x += 0.5
+    return np.floor(x, out=x)
 
 
 def normalize_planes(image: np.ndarray) -> np.ndarray:

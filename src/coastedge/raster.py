@@ -2,7 +2,9 @@
 
 Covers the NPY (v1.0) array format used for image chips and labels, binary
 PGM export of edge maps (plain 2D uint8 arrays), and the JSON corpus manifest
-that ties them together.
+that ties them together. `read_stack` is the one reader of image chips: it
+checks the HxWx12 layout for `load_scene` and for `detect` alike, and
+`check_samples` checks the samples' values.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .errors import (
     FormatError,
     IoError,
     LabelError,
+    SampleError,
     ShapeError,
     UnsupportedDtype,
     UnsupportedLayout,
@@ -64,9 +67,9 @@ def check_samples(samples) -> np.ndarray:
     if samples.ndim < 2 or min(samples.shape[-2:]) < 3:
         raise ShapeError(f"band must be at least 3x3, got {samples.shape[-2:]}")
     if not np.isfinite(samples).all():
-        raise ValueError("band samples must be finite")
+        raise SampleError("band samples must be finite")
     if (samples < 0).any():
-        raise ValueError("band samples must be non-negative")
+        raise SampleError("band samples must be non-negative")
     return samples
 
 
@@ -280,26 +283,34 @@ def _resample_nearest(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return array[..., rows[:, None], cols]
 
 
+def read_stack(path, name) -> np.ndarray:
+    """The (12, H, W) band planes of an HxWx12 image NPY, in the file's dtype.
+
+    The one reader of image chips: an array that is not 3-D, has an empty
+    plane, or does not carry 12 bands on its last axis is rejected here,
+    with `name` (a scene id or a path) leading the message.
+    """
+    image = read_npy(path)
+    if image.ndim != 3 or 0 in image.shape[:2]:
+        raise ShapeError(f"{name}: image must be HxWx12, got shape {image.shape}")
+    if image.shape[2] != 12:
+        raise BandCountError(f"{name}: expected 12 bands on the last axis, got {image.shape[2]}")
+    return np.moveaxis(image, 2, 0)
+
+
 def load_scene(entry: dict) -> Scene:
     """Load one manifest entry into a Scene with a (12, H, W) band stack.
 
+    The label is read first, so a bad label is reported before a bad image.
     Band planes whose shape differs from the label are resampled to the
     label grid with nearest-neighbor interpolation.
     """
-    image = read_npy(entry["image"])
     try:
         label = LabelMask(read_npy(entry["label"]))
     except (LabelError, ShapeError) as exc:
         raise type(exc)(f"{entry['id']}: {exc}") from exc
 
-    if image.ndim != 3:
-        raise ShapeError(f"{entry['id']}: image must be HxWx12, got shape {image.shape}")
-    if image.shape[2] != 12:
-        raise BandCountError(
-            f"{entry['id']}: expected 12 bands on the last axis, got {image.shape[2]}"
-        )
-
-    stack = np.moveaxis(image, 2, 0).astype(np.float64, order="C")
+    stack = read_stack(entry["image"], entry["id"]).astype(np.float64, order="C")
     if stack.shape[1:] != label.values.shape:
         stack = _resample_nearest(stack, label.values.shape)
     return Scene(id=entry["id"], stack=stack, label=label)

@@ -15,8 +15,8 @@ import time
 import numpy as np
 import pytest
 
-from coastedge.edgedetect import KERNELS, CannyParams, _separable_gradients, canny_debug
-from coastedge.harness import ExperimentSpec, derive_reference, run_experiment
+from coastedge.edgedetect import KERNELS, CannyParams, _separable_gradients, canny_debug, derive_reference
+from coastedge.harness import ExperimentSpec, run_experiment
 from coastedge.metrics import psnr, rmse, ssim, uqi
 from coastedge.preprocess import PreprocessSpec, run_pipeline
 from coastedge.raster import BandName, load_manifest, load_scene

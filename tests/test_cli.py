@@ -97,6 +97,15 @@ def list_descr(npy: bytes) -> bytes:
     return npy.replace(b"'descr': '<u2', ", b"'descr':['<u2'],", 1)
 
 
+def empty_chip(path):
+    """A readable uint16 NPY image chip of shape (0, 5, 12): no rows, no samples."""
+    write_npy(np.zeros((1, 5, 12), dtype=np.uint16), path)
+    data = path.read_bytes()
+    header_end = 10 + int.from_bytes(data[8:10], "little")
+    assert b"'shape': (1, 5, 12)" in data[:header_end]
+    path.write_bytes(data[:header_end].replace(b"'shape': (1, 5, 12)", b"'shape': (0, 5, 12)"))
+
+
 class TestDetect:
     def test_writes_pgm(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "edges.pgm"
@@ -161,6 +170,36 @@ class TestDetect:
         )
         assert code == 1
         assert err.startswith("error: ") and "unsupported dtype ['<u2']" in err
+
+    @pytest.mark.parametrize(
+        "shape, message",
+        [
+            ((32, 32), "image must be HxWx12, got shape (32, 32)"),
+            ((32, 32, 11), "expected 12 bands on the last axis, got 11"),
+            ((0, 5, 12), "image must be HxWx12, got shape (0, 5, 12)"),
+        ],
+        ids=["2d", "11_bands", "no_rows"],
+    )
+    def test_input_not_an_image_stack_is_usage_error(self, tmp_path, capsys, shape, message):
+        path = tmp_path / "image.npy"
+        if 0 in shape:
+            empty_chip(path)
+        else:
+            write_npy(np.zeros(shape, dtype=np.uint16), path)
+        out = tmp_path / "x.pgm"
+        code, _, err = run(capsys, "detect", "--input", str(path), "--band", "Blue", "--out", str(out))
+        assert code == 1
+        assert err == f"error: {path}: {message}\n"
+        assert not out.exists()
+
+    def test_non_finite_samples_are_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "image.npy"
+        image = np.ones((8, 8, 12), dtype=np.float32)
+        image[2, 3, 1] = np.nan
+        write_npy(image, path)
+        code, _, err = run(capsys, "detect", "--input", str(path), "--band", "Blue", "--out", str(tmp_path / "x.pgm"))
+        assert code == 1
+        assert err == "error: band samples must be finite\n"
 
     def test_missing_required_flag(self, capsys):
         code, _, err = run(capsys, "detect", "--band", "Blue")
@@ -311,6 +350,44 @@ class TestEvaluate:
             ], kind
         assert "48 cell(s) failed in table1" in err
 
+    def test_chip_without_rows_gives_shape_error_records(self, tmp_path, capsys):
+        # resampling an image of no rows to the label grid had nothing to index
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        empty_chip(corpus / "c_image.npy")
+        write_npy(np.repeat([[0, 0, 1, 1]], 4, axis=0).astype(np.uint8), corpus / "c_label.npy")
+        (corpus / "manifest.json").write_text(json.dumps({
+            "band_order": [b.value for b in BandName],
+            "images": [{"id": "c", "image": "c_image.npy", "label": "c_label.npy"}],
+        }))
+        out = tmp_path / "r"
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(corpus / "manifest.json"),
+            "--experiment", "table1", "--out-dir", str(out),
+        )
+        assert code == 3
+        assert "48 cell(s) failed in table1" in err
+        with open(out / "records.csv", newline="") as fh:
+            errors = {row["error"] for row in csv.DictReader(fh)}
+        assert errors == {"ShapeError: c: image must be HxWx12, got shape (0, 5, 12)"}
+
+    def test_negative_samples_give_sample_error_records(self, corpus_dir, tmp_path, capsys):
+        # a data fault, so error records and exit 3, not a stopped run
+        path = corpus_dir / "synth_000011_image.npy"
+        image = read_npy(path).astype(np.float32)
+        image[0, 0, 5] = -1.0
+        write_npy(image, path)
+        out = tmp_path / "r"
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(corpus_dir / "manifest.json"),
+            "--experiment", "table1", "--out-dir", str(out),
+        )
+        assert code == 3
+        assert "48 cell(s) failed in table1" in err
+        with open(out / "records.csv", newline="") as fh:
+            errors = {(row["image_id"], row["error"]) for row in csv.DictReader(fh) if row["error"]}
+        assert errors == {("synth_000011", "SampleError: band samples must be non-negative")}
+
     def test_duplicate_manifest_ids_are_io_error(self, corpus_dir, tmp_path, capsys):
         manifest = corpus_dir / "manifest.json"
         doc = json.loads(manifest.read_text())
@@ -356,6 +433,26 @@ class TestEvaluate:
             "--out-dir", str(tmp_path / "r"),
         )
         assert code == 2
+
+
+class TestDetectMatchesEvaluate:
+    def test_metrics_line_is_the_table1_record(self, evaluated, tmp_path, capsys):
+        # `detect --label` and `evaluate` score one cell alike: same reader,
+        # same reference, same digits
+        corpus = evaluated.parent / "corpus"
+        with open(evaluated / "table1" / "records.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 2 * 12 * len(ALGORITHMS)
+        for row in rows:
+            code, stdout, _ = run(
+                capsys, "detect",
+                "--input", str(corpus / f"{row['image_id']}_image.npy"),
+                "--label", str(corpus / f"{row['image_id']}_label.npy"),
+                "--band", row["band"], "--algorithm", row["algorithm"],
+                "--out", str(tmp_path / "edges.pgm"),
+            )
+            assert code == 0
+            assert stdout == ",".join(row[m] for m in ("rmse", "psnr", "ssim", "uqi")) + "\n", row
 
 
 class TestReport:
@@ -573,6 +670,18 @@ print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
 """
 
 
+# modules that only `evaluate`, `report` or `synth` runs
+BATCH_MODULES = ("coastedge.harness", "coastedge.synth", "concurrent.futures", "hashlib", "csv")
+
+LIST_BATCH_MODULES = f"""
+import sys
+
+import coastedge.cli
+
+print([name for name in {BATCH_MODULES!r} if name in sys.modules])
+"""
+
+
 def fresh_python(*args):
     """Run a fresh interpreter that imports this checkout's coastedge."""
     src = str(Path(coastedge.__file__).resolve().parents[1])
@@ -597,5 +706,14 @@ class TestNoScipyAtRunTime:
 
     def test_import_loads_no_scipy_module(self):
         proc = fresh_python("-c", LIST_SCIPY_MODULES)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+
+class TestImportOnlyWhatDetectRuns:
+    """Every command is a fresh process: `detect` loads no batch machinery."""
+
+    def test_import_loads_no_batch_module(self):
+        proc = fresh_python("-c", LIST_BATCH_MODULES)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"

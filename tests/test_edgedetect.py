@@ -19,7 +19,6 @@ from coastedge.edgedetect import (
     canny,
     canny_debug,
     detect,
-    gradient_field,
     gradient_magnitude,
     magnitude_to_edgemap,
 )
@@ -34,6 +33,12 @@ SOBEL = KERNELS["sobel"]
 
 def band_of(values):
     return np.asarray(values, dtype=np.float64)
+
+
+def direction(image, weights):
+    """Per-pixel gradient direction, atan2(gy, gx), of a `KERNELS` entry."""
+    gx, gy = _separable_gradients(image, weights)
+    return np.arctan2(gy, gx)
 
 
 def step_band(size=16, value=255.0):
@@ -65,34 +70,32 @@ class TestKernels:
 class TestGradientField:
     def test_vertical_step_peak(self):
         band = step_band(16)
-        field = gradient_field(band, SOBEL)
+        magnitude, angle = gradient_magnitude(band, SOBEL), direction(band, SOBEL)
         # peak on the two columns adjacent to the step, value 4*255, direction 0
         for col in (7, 8):
-            np.testing.assert_allclose(field.magnitude[5, col], 4 * 255.0)
-            np.testing.assert_allclose(field.direction[5, col], 0.0, atol=1e-12)
-        np.testing.assert_allclose(field.magnitude[:, :6], 0.0, atol=1e-9)
+            np.testing.assert_allclose(magnitude[5, col], 4 * 255.0)
+            np.testing.assert_allclose(angle[5, col], 0.0, atol=1e-12)
+        np.testing.assert_allclose(magnitude[:, :6], 0.0, atol=1e-9)
 
     def test_constant_zero_magnitude(self):
-        field = gradient_field(band_of(np.full((8, 8), 120.0)), KERNELS["scharr"])
-        np.testing.assert_allclose(field.magnitude, 0.0, atol=1e-9)
+        magnitude = gradient_magnitude(band_of(np.full((8, 8), 120.0)), KERNELS["scharr"])
+        np.testing.assert_allclose(magnitude, 0.0, atol=1e-9)
 
     def test_diagonal_step_direction(self):
         size = 16
         rows, cols = np.mgrid[0:size, 0:size]
         samples = np.where(cols - rows > 0, 255.0, 0.0)
-        field = gradient_field(band_of(samples), SOBEL)
+        angle = direction(band_of(samples), SOBEL)
         edge = np.abs(cols - rows) <= 1
         interior = edge & (rows > 1) & (rows < size - 2) & (cols > 1) & (cols < size - 2)
-        np.testing.assert_allclose(
-            np.abs(field.direction[interior]), np.pi / 4, atol=1e-9
-        )
+        np.testing.assert_allclose(np.abs(angle[interior]), np.pi / 4, atol=1e-9)
 
     def test_rotation_consistency(self, rng):
         image = rng.integers(0, 256, size=(10, 10)).astype(float)
         band = band_of(image)
         rotated = band_of(np.rot90(image).copy())
-        mag = gradient_field(band, SOBEL).magnitude
-        mag_rot = gradient_field(rotated, SOBEL).magnitude
+        mag = gradient_magnitude(band, SOBEL)
+        mag_rot = gradient_magnitude(rotated, SOBEL)
         np.testing.assert_allclose(mag_rot, np.rot90(mag), atol=1e-9)
 
     def test_ramp_response_ratios(self):
@@ -100,7 +103,7 @@ class TestGradientField:
         ramp = np.tile(np.arange(16, dtype=float), (16, 1))
         band = band_of(ramp)
         responses = {
-            name: gradient_field(band, weights).magnitude[8, 8]
+            name: gradient_magnitude(band, weights)[8, 8]
             for name, weights in KERNELS.items()
         }
         np.testing.assert_allclose(responses["sobel"], 8.0)
@@ -136,19 +139,19 @@ def exact_magnitude(image, matrix):
 class TestGradientMagnitude:
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_equals_gradient_field_on_integer_bands(self, rng, name):
+        # the magnitude of the field (gx, gy) that Canny's NMS directions come from
         for size in (3, 7, 24):
             band = band_of(rng.integers(0, 256, size=(size, size + 1)))
-            np.testing.assert_array_equal(
-                gradient_magnitude(band, KERNELS[name]),
-                gradient_field(band, KERNELS[name]).magnitude,
-            )
+            gx, gy = _separable_gradients(band, KERNELS[name])
+            np.testing.assert_array_equal(gradient_magnitude(band, KERNELS[name]), np.sqrt(gx * gx + gy * gy))
 
     @pytest.mark.parametrize("name", sorted(KERNELS))
     def test_correctly_rounded_on_integer_bands(self, rng, name):
         for image in [HYPOT_OFF, *integer_images(rng)]:
             want = exact_magnitude(image, GRADIENT_KERNELS[name]).tobytes()
             assert gradient_magnitude(image, KERNELS[name]).tobytes() == want
-            assert gradient_field(image, KERNELS[name]).magnitude.tobytes() == want
+            want_map = magnitude_to_edgemap(exact_magnitude(image, GRADIENT_KERNELS[name]))
+            assert detect(image, name).tobytes() == want_map.tobytes()
 
     def test_hypot_is_one_ulp_off_on_the_pinned_plane(self):
         want = exact_magnitude(HYPOT_OFF, GRADIENT_KERNELS["sobel"])[1, 0]
@@ -185,23 +188,23 @@ class TestSeparableGradients:
         weights = KERNELS[name]
         for _ in range(50):
             image = rng.random((40, 40)) * 255.0
-            magnitude = gradient_field(image, weights).magnitude
+            magnitude = gradient_magnitude(image, weights)
             for op in (np.fliplr, np.flipud, np.transpose):
-                moved = gradient_field(np.ascontiguousarray(op(image)), weights).magnitude
+                moved = gradient_magnitude(np.ascontiguousarray(op(image)), weights)
                 assert moved.tobytes() == np.ascontiguousarray(op(magnitude)).tobytes(), op
 
     def test_layout_does_not_change_bits(self, rng):
         image = rng.random((24, 31)) * 255.0
-        c_field = gradient_field(np.ascontiguousarray(image), SOBEL)
-        f_field = gradient_field(np.asfortranarray(image), SOBEL)
-        assert c_field.magnitude.tobytes() == np.ascontiguousarray(f_field.magnitude).tobytes()
-        assert c_field.direction.tobytes() == np.ascontiguousarray(f_field.direction).tobytes()
+        c_image, f_image = np.ascontiguousarray(image), np.asfortranarray(image)
+        c_magnitude, f_magnitude = gradient_magnitude(c_image, SOBEL), gradient_magnitude(f_image, SOBEL)
+        assert c_magnitude.tobytes() == np.ascontiguousarray(f_magnitude).tobytes()
+        c_angle, f_angle = direction(c_image, SOBEL), direction(f_image, SOBEL)
+        assert c_angle.tobytes() == np.ascontiguousarray(f_angle).tobytes()
 
     def test_integer_dtype_input_does_not_wrap(self):
         image = np.zeros((5, 5), dtype=np.uint8)
         image[:, 3:] = 255
-        field = gradient_field(image, SOBEL)
-        np.testing.assert_array_equal(field.magnitude, gradient_field(band_of(image), SOBEL).magnitude)
+        np.testing.assert_array_equal(gradient_magnitude(image, SOBEL), gradient_magnitude(band_of(image), SOBEL))
 
 
 def sector_by_remainder(direction):
@@ -248,17 +251,17 @@ class TestDirectionSector:
 class TestMagnitudeToEdgemap:
     def test_zero_field(self):
         band = band_of(np.full((8, 8), 9.0))
-        edge = magnitude_to_edgemap(gradient_field(band, SOBEL).magnitude)
+        edge = magnitude_to_edgemap(gradient_magnitude(band, SOBEL))
         assert edge.dtype == np.uint8
         assert (edge == 0).all()
 
     def test_unique_max_maps_to_255(self, rng):
         image = rng.integers(0, 200, size=(10, 10)).astype(float)
         image[4, 4] = 30000.0  # dominant spike
-        field = gradient_field(band_of(image), SOBEL)
-        edge = magnitude_to_edgemap(field.magnitude)
+        magnitude = gradient_magnitude(band_of(image), SOBEL)
+        edge = magnitude_to_edgemap(magnitude)
         assert edge.max() == 255
-        assert edge[np.unravel_index(field.magnitude.argmax(), image.shape)] == 255
+        assert edge[np.unravel_index(magnitude.argmax(), image.shape)] == 255
 
 
 class TestCanny:
@@ -367,10 +370,10 @@ def assert_planes_match_oracles(stack, params):
     for i, plane in enumerate(stack):
         if params.smoothing:
             plane = blur_array(plane, params.smooth_kernel_size, params.smooth_sigma)
-        field = gradient_field(plane, SOBEL)
-        nms = nms_loops(field.magnitude, field.direction)
+        magnitude = gradient_magnitude(plane, SOBEL)
+        nms = nms_loops(magnitude, direction(plane, SOBEL))
         np.testing.assert_array_equal(debug["nms_mask"][i], nms)
-        keep = hysteresis_bfs(field.magnitude, nms, params.low_threshold, params.high_threshold)
+        keep = hysteresis_bfs(magnitude, nms, params.low_threshold, params.high_threshold)
         np.testing.assert_array_equal(edges[i], np.where(keep, 255, 0))
 
 
@@ -425,10 +428,10 @@ class TestCannyOracle:
         # neighbour's, and ones that differ from it by less than 1e-9
         ties = near = 0
         for stack in near_tie_stacks():
-            field = gradient_field(blur_array(stack, 5, 1.4), SOBEL)
-            padded = np.pad(field.magnitude, ((0, 0), (0, 0), (1, 1)), mode="edge")
-            diff = field.magnitude - padded[..., 2:]
-            ties += int(((diff == 0) & (field.magnitude > 0)).sum())
+            magnitude = gradient_magnitude(blur_array(stack, 5, 1.4), SOBEL)
+            padded = np.pad(magnitude, ((0, 0), (0, 0), (1, 1)), mode="edge")
+            diff = magnitude - padded[..., 2:]
+            ties += int(((diff == 0) & (magnitude > 0)).sum())
             near += int(((diff != 0) & (np.abs(diff) < 1e-9)).sum())
         assert ties > 0 and near > 0
 
@@ -499,7 +502,7 @@ class TestHysteresis:
 class TestDetect:
     def test_sobel_dispatch_equals_manual(self, rng):
         band = band_of(rng.integers(0, 256, size=(12, 12)))
-        manual = magnitude_to_edgemap(gradient_field(band, SOBEL).magnitude)
+        manual = magnitude_to_edgemap(gradient_magnitude(band, SOBEL))
         np.testing.assert_array_equal(detect(band, "sobel"), manual)
 
     def test_kinds(self, rng):
