@@ -15,7 +15,7 @@ import numpy as np
 from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
 from .metrics import MetricParams, compute_all
-from .preprocess import PreprocessSpec, run_pipeline
+from .preprocess import NOISE_REDUCTIONS, PreprocessSpec, run_pipeline
 from .raster import BandName, LabelMask, check_samples, read_npy, read_stack, write_npy, write_pgm
 
 EXIT_OK = 0
@@ -25,9 +25,7 @@ EXIT_PARTIAL = 3
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage error: `main` prints it and exits with `EXIT_USAGE`."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -43,25 +41,28 @@ _EXPERIMENT_KINDS = {"table1": "table1", "equalization": "equalization_ablation"
 
 
 def _add_canny_flags(parser):
-    parser.add_argument("--canny-low", type=float, default=50.0, help="low hysteresis threshold (normalized 0-255 magnitude)")
-    parser.add_argument("--canny-high", type=float, default=150.0, help="high hysteresis threshold (normalized 0-255 magnitude)")
-    parser.add_argument("--canny-smoothing", action=argparse.BooleanOptionalAction, default=True, help="internal Gaussian smoothing inside Canny")
-    parser.add_argument("--canny-smooth-kernel", type=int, default=5, help="Canny internal smoothing kernel size")
-    parser.add_argument("--canny-smooth-sigma", type=float, default=1.4, help="Canny internal smoothing sigma")
+    d = CannyParams()
+    parser.add_argument("--canny-low", type=float, default=d.low_threshold, help="low hysteresis threshold (normalized 0-255 magnitude)")
+    parser.add_argument("--canny-high", type=float, default=d.high_threshold, help="high hysteresis threshold (normalized 0-255 magnitude)")
+    parser.add_argument("--canny-smoothing", action=argparse.BooleanOptionalAction, default=d.smoothing, help="internal Gaussian smoothing inside Canny")
+    parser.add_argument("--canny-smooth-kernel", type=int, default=d.smooth_kernel_size, help="Canny internal smoothing kernel size")
+    parser.add_argument("--canny-smooth-sigma", type=float, default=d.smooth_sigma, help="Canny internal smoothing sigma")
 
 
 def _add_preprocess_flags(parser):
-    parser.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=True, help="histogram equalization after scaling")
-    parser.add_argument("--noise", choices=("none", "gaussian", "closing"), default="gaussian", help="noise reduction method")
-    parser.add_argument("--gaussian-kernel", type=int, default=5, help="Gaussian blur kernel size")
-    parser.add_argument("--gaussian-sigma", type=float, default=1.0, help="Gaussian blur sigma")
-    parser.add_argument("--closing-element", type=int, default=3, help="morphological closing element size")
+    d = PreprocessSpec()
+    parser.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=d.equalize, help="histogram equalization after scaling")
+    parser.add_argument("--noise", choices=NOISE_REDUCTIONS, default=d.noise_reduction, help="noise reduction method")
+    parser.add_argument("--gaussian-kernel", type=int, default=d.gaussian_kernel_size, help="Gaussian blur kernel size")
+    parser.add_argument("--gaussian-sigma", type=float, default=d.gaussian_sigma, help="Gaussian blur sigma")
+    parser.add_argument("--closing-element", type=int, default=d.closing_element, help="morphological closing element size")
 
 
 def _add_metric_flags(parser):
-    parser.add_argument("--ssim-window", type=int, default=11, help="SSIM Gaussian window size")
-    parser.add_argument("--ssim-sigma", type=float, default=1.5, help="SSIM Gaussian window sigma")
-    parser.add_argument("--uqi-window", type=int, default=8, help="UQI uniform window size")
+    d = MetricParams()
+    parser.add_argument("--ssim-window", type=int, default=d.ssim_window, help="SSIM Gaussian window size")
+    parser.add_argument("--ssim-sigma", type=float, default=d.ssim_sigma, help="SSIM Gaussian window sigma")
+    parser.add_argument("--uqi-window", type=int, default=d.uqi_window, help="UQI uniform window size")
 
 
 def build_parser() -> _Parser:
@@ -247,11 +248,8 @@ def main(argv=None) -> int:
         return _COMMANDS[args.command](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
-        return exc.code
-    except (IoError, CorpusError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+        return EXIT_USAGE
+    except (IoError, CorpusError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except CoastEdgeError as exc:

@@ -14,10 +14,10 @@ from __future__ import annotations
 import concurrent.futures
 import csv
 import hashlib
+import io
 import itertools
 import json
 import math
-import os
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
@@ -28,7 +28,7 @@ from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ParamError
 from .metrics import METRIC_NAMES, MetricParams, MetricRecord, PreparedReference, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import BandName, Scene, load_manifest, load_scene
+from .raster import BandName, Scene, load_manifest, load_scene, read_file, write_file
 
 # experiment kind -> its algorithms, the (equalize, noise_reduction) pair of
 # each preprocessing variant, and its report files (format -> file name);
@@ -227,18 +227,16 @@ def corpus_hash(manifest_path) -> str:
     Each file is preceded by its entry id, key and size; a file that cannot
     be read counts with size -1 and no bytes.
     """
-    manifest_path = Path(manifest_path)
-    digest = hashlib.sha256(manifest_path.read_bytes())
+    digest = hashlib.sha256(read_file(manifest_path))
     for entry in load_manifest(manifest_path):
         for key in ("image", "label"):
             try:
-                with open(entry[key], "rb") as fh:
-                    size = os.fstat(fh.fileno()).st_size
-                    digest.update(f"{entry['id']}:{key}:{size}".encode())
-                    for chunk in iter(lambda: fh.read(1 << 20), b""):
-                        digest.update(chunk)
-            except OSError:
+                data = read_file(entry[key])
+            except IoError:
                 digest.update(f"{entry['id']}:{key}:-1".encode())
+                continue
+            digest.update(f"{entry['id']}:{key}:{len(data)}".encode())
+            digest.update(data)
     return digest.hexdigest()
 
 
@@ -371,14 +369,11 @@ def format_mean_std(mean: float, std: float) -> str:
     return f"{mean_s} ± {std_s}"
 
 
-def _write(path, text: str = "", rows=()) -> None:
-    """Write `text`, then `rows` as CSV lines, to `path`; an OSError is an `IoError`."""
-    try:
-        with open(path, "w", newline="") as fh:
-            fh.write(text)
-            csv.writer(fh).writerows(rows)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+def _write_csv(path, rows) -> None:
+    """Write `rows` to `path` as CSV lines ending in CR LF."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_file(path, text.getvalue())
 
 
 def write_records_csv(records: list, path) -> None:
@@ -389,32 +384,32 @@ def write_records_csv(records: list, path) -> None:
         else:
             metric_cells = [_fmt(r.rmse), _fmt(r.psnr), _fmt(r.ssim), _fmt(r.uqi)]
         rows.append([r.image_id, r.band_name, r.algorithm, r.preprocess_tag, *metric_cells, r.error])
-    _write(path, rows=rows)
+    _write_csv(path, rows)
 
 
 def read_records_csv(path) -> list:
     """Parse a records CSV back into MetricRecord objects (exact floats).
 
-    A wrong header, row length or metric cell is a `CorpusError` naming the
-    file and, for a row, its line number.
+    Bytes that are not UTF-8, or a wrong header, row length or metric cell,
+    are a `CorpusError` naming the file and, for a row, its line number.
     """
     try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != RECORD_COLUMNS:
-                raise CorpusError(f"{path}: unexpected records CSV header {header}")
-            records = []
-            for row in reader:
-                if len(row) != len(RECORD_COLUMNS):
-                    raise CorpusError(f"{path}: row {reader.line_num}: malformed row {row}")
-                try:
-                    metrics = [float(cell) if cell else math.nan for cell in row[4:8]]
-                except ValueError as exc:
-                    raise CorpusError(f"{path}: row {reader.line_num}: {exc}") from exc
-                records.append(MetricRecord(*row[:4], *metrics, error=row[8]))
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        text = read_file(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise CorpusError(f"{path}: records CSV is not UTF-8: {exc}") from exc
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != RECORD_COLUMNS:
+        raise CorpusError(f"{path}: unexpected records CSV header {header}")
+    records = []
+    for row in reader:
+        if len(row) != len(RECORD_COLUMNS):
+            raise CorpusError(f"{path}: row {reader.line_num}: malformed row {row}")
+        try:
+            metrics = [float(cell) if cell else math.nan for cell in row[4:8]]
+        except ValueError as exc:
+            raise CorpusError(f"{path}: row {reader.line_num}: {exc}") from exc
+        records.append(MetricRecord(*row[:4], *metrics, error=row[8]))
     return records
 
 
@@ -433,7 +428,7 @@ def write_aggregates_csv(rows: list, path) -> None:
                 row["n_excluded"],
             ]
         )
-    _write(path, rows=lines)
+    _write_csv(path, lines)
 
 
 # the columns of the markdown results table: each algorithm's PSNR and SSIM
@@ -467,7 +462,7 @@ def write_plotdata_csv(rows: list, tags: list, path) -> None:
             cell = cells.get((band.value, tag))
             row.append(_fmt(cell["mean"]) if cell else "")
         lines.append(row)
-    _write(path, rows=lines)
+    _write_csv(path, lines)
 
 
 def write_report(result: RunResult, fmt: str, path) -> None:
@@ -475,7 +470,7 @@ def write_report(result: RunResult, fmt: str, path) -> None:
     if fmt == "csv":
         write_aggregates_csv(result.aggregate_rows, path)
     elif fmt == "markdown":
-        _write(path, markdown_table(result.aggregate_rows))
+        write_file(path, markdown_table(result.aggregate_rows))
     else:
         write_plotdata_csv(result.aggregate_rows, result.spec.variant_tags, path)
 
@@ -497,7 +492,7 @@ def emit_report(result: RunResult, out_dir) -> list[Path]:
         written.append(path)
 
     provenance_path = out_dir / "provenance.json"
-    _write(provenance_path, json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
+    write_file(provenance_path, json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
     written.append(provenance_path)
     return written
 
@@ -512,10 +507,8 @@ def read_run(records_path) -> RunResult:
     records_path = Path(records_path)
     provenance_path = records_path.with_name("provenance.json")
     try:
-        provenance = json.loads(provenance_path.read_text())
-    except OSError as exc:
-        raise IoError(f"cannot read {provenance_path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        provenance = json.loads(read_file(provenance_path).decode("utf-8"))
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
         raise ParamError(f"{provenance_path} is not valid JSON: {exc}") from exc
     if not isinstance(provenance, dict):
         raise ParamError(f"{provenance_path}: expected a JSON object")

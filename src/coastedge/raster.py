@@ -4,7 +4,8 @@ Covers the NPY (v1.0) array format used for image chips and labels, binary
 PGM export of edge maps (plain 2D uint8 arrays), and the JSON corpus manifest
 that ties them together. `read_stack` is the one reader of image chips: it
 checks the HxWx12 layout for `load_scene` and for `detect` alike, and
-`check_samples` checks the samples' values.
+`check_samples` checks the samples' values. Every file the package reads or
+writes goes through `read_file` and `write_file`; text is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -111,6 +112,29 @@ class Scene:
 
 
 # ---------------------------------------------------------------------------
+# File boundary
+# ---------------------------------------------------------------------------
+
+
+def read_file(path) -> bytes:
+    """The bytes of the file at `path`; an OSError is an `IoError`."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+
+
+def write_file(path, *parts) -> None:
+    """Write `parts` to `path`, bytes as they are and a str as UTF-8; an OSError is an `IoError`."""
+    try:
+        with open(path, "wb") as fh:
+            for part in parts:
+                fh.write(part.encode("utf-8") if isinstance(part, str) else part)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
+# ---------------------------------------------------------------------------
 # NPY v1.0
 # ---------------------------------------------------------------------------
 
@@ -138,11 +162,7 @@ def read_npy(path) -> np.ndarray:
 
     Supports little-endian u8/u16/f32/f64 in C (row-major) order only.
     """
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
+    data = read_file(path)
     if len(data) < 10 or data[:6] != _NPY_MAGIC:
         raise FormatError(f"{path}: not an NPY file (bad magic)")
     major, minor = data[6], data[7]
@@ -198,15 +218,8 @@ def write_npy(array: np.ndarray, path) -> None:
     # pad with spaces so magic + version + length + header is 64-byte aligned
     unpadded = len(_NPY_MAGIC) + 2 + 2 + len(header) + 1
     header = header + " " * (-unpadded % 64) + "\n"
-    try:
-        with open(path, "wb") as fh:
-            fh.write(_NPY_MAGIC)
-            fh.write(bytes((1, 0)))
-            fh.write(struct.pack("<H", len(header)))
-            fh.write(header.encode("latin1"))
-            fh.write(array.astype(array.dtype.newbyteorder("<")).tobytes(order="C"))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    payload = array.astype(array.dtype.newbyteorder("<")).tobytes(order="C")
+    write_file(path, _NPY_MAGIC, bytes((1, 0)), struct.pack("<H", len(header)), header, payload)
 
 
 def write_pgm(values: np.ndarray, path) -> None:
@@ -214,13 +227,7 @@ def write_pgm(values: np.ndarray, path) -> None:
     if values.ndim != 2 or values.dtype != np.uint8:
         raise ValueError(f"PGM needs a 2D uint8 array, got {values.ndim}D {values.dtype}")
     height, width = values.shape
-    header = f"P5\n{width} {height}\n255\n"
-    try:
-        with open(path, "wb") as fh:
-            fh.write(header.encode("ascii"))
-            fh.write(values.tobytes(order="C"))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_file(path, f"P5\n{width} {height}\n255\n", values.tobytes(order="C"))
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +243,11 @@ def load_manifest(path) -> list[dict]:
     """
     path = Path(path)
     try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise CorpusError(f"cannot read manifest {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+        doc = json.loads(read_file(path).decode("utf-8"))
+    except ValueError as exc:  # bytes that are not UTF-8, or text that is not JSON
         raise CorpusError(f"manifest {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CorpusError(f"manifest {path}: expected a JSON object")
 
     expected = [b.value for b in BandName]
     if doc.get("band_order") != expected:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import IoError, ParamError
-from .raster import BandName, LabelMask, Scene, write_npy
+from .raster import BandName, LabelMask, Scene, write_file, write_npy
 
 # default (land, water) raw intensities per band, loosely sentinel-2 flavored:
 # water bright in the short wavelengths, land bright in NIR/SWIR
@@ -184,8 +184,5 @@ def generate_corpus(n: int, base_spec: SynthSpec, out_dir) -> Path:
         "images": entries,
     }
     manifest_path = out_dir / "manifest.json"
-    try:
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {manifest_path}: {exc}") from exc
+    write_file(manifest_path, json.dumps(manifest, indent=2) + "\n")
     return manifest_path

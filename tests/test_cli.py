@@ -13,8 +13,10 @@ import numpy as np
 import pytest
 
 import coastedge
-from coastedge.cli import main
-from coastedge.edgedetect import ALGORITHMS
+from coastedge.cli import _canny_params, _metric_params, _preprocess_spec, build_parser, main
+from coastedge.edgedetect import ALGORITHMS, CannyParams
+from coastedge.metrics import MetricParams
+from coastedge.preprocess import PreprocessSpec
 from coastedge.raster import BandName, read_npy, write_npy
 
 
@@ -57,6 +59,22 @@ def copy_run(run_dir, dest, names=("records.csv", "provenance.json")):
     for name in names:
         shutil.copy(run_dir / name, dest / name)
     return dest
+
+
+class TestFlagDefaults:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["detect", "--input", "x.npy", "--band", "NIR", "--out", "e.pgm"],
+            ["evaluate", "--manifest", "m.json", "--out-dir", "r"],
+        ],
+        ids=["detect", "evaluate"],
+    )
+    def test_no_flags_give_the_parameter_defaults(self, argv):
+        args = build_parser().parse_args(argv)
+        assert _preprocess_spec(args) == PreprocessSpec()
+        assert _canny_params(args) == CannyParams()
+        assert _metric_params(args) == MetricParams()
 
 
 class TestSynth:
@@ -434,6 +452,20 @@ class TestEvaluate:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [(b"[1, 2]", "expected a JSON object"), (b"\xff\xfe\xfa", "not valid JSON")],
+        ids=["list", "not-utf8"],
+    )
+    def test_malformed_manifest_is_io_error(self, tmp_path, capsys, data, message):
+        manifest = tmp_path / "m.json"
+        manifest.write_bytes(data)
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(manifest), "--out-dir", str(tmp_path / "r"),
+        )
+        assert code == 2
+        assert err.startswith("error: ") and message in err
+
 
 class TestDetectMatchesEvaluate:
     def test_metrics_line_is_the_table1_record(self, evaluated, tmp_path, capsys):
@@ -585,6 +617,34 @@ class TestReport:
         assert message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "name, code, message",
+        [("provenance.json", 1, "is not valid JSON"), ("records.csv", 2, "records CSV is not UTF-8")],
+    )
+    def test_text_file_not_utf8(self, evaluated, tmp_path, capsys, name, code, message):
+        run_dir = copy_run(evaluated / "table1", tmp_path / "run")
+        (run_dir / name).write_bytes(b"\xff\xfe\xfa")
+        out = tmp_path / "x.csv"
+        got, _, err = run(
+            capsys, "report", "--records", str(run_dir / "records.csv"), "--out", str(out),
+        )
+        assert got == code
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    def test_bytes_do_not_depend_on_the_locale(self, evaluated, tmp_path):
+        # an ASCII locale with no coercion to UTF-8: the report is still UTF-8
+        expected = (evaluated / "table1" / "table1.md").read_bytes()
+        assert "±".encode() in expected
+        out = tmp_path / "table1.md"
+        proc = fresh_python(
+            "-m", "coastedge.cli", "report", "--records", str(evaluated / "table1" / "records.csv"),
+            "--format", "markdown", "--out", str(out),
+            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == expected
+
     @pytest.mark.parametrize("column", [4, 5, 6, 7], ids=["rmse", "psnr", "ssim", "uqi"])
     def test_non_numeric_metric_is_io_error(self, evaluated, tmp_path, capsys, column):
         run_dir = copy_run(evaluated / "table1", tmp_path / "run")
@@ -682,12 +742,12 @@ print([name for name in {BATCH_MODULES!r} if name in sys.modules])
 """
 
 
-def fresh_python(*args):
-    """Run a fresh interpreter that imports this checkout's coastedge."""
+def fresh_python(*args, **env):
+    """Run a fresh interpreter that imports this checkout's coastedge, with `env` set."""
     src = str(Path(coastedge.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
-        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path),
+        [sys.executable, *args], env=dict(os.environ, PYTHONPATH=path, **env),
         capture_output=True, text=True, timeout=300,
     )
 

@@ -13,6 +13,7 @@ from coastedge.errors import (
     BandCountError,
     CorpusError,
     FormatError,
+    IoError,
     LabelError,
     ShapeError,
     UnsupportedDtype,
@@ -25,7 +26,9 @@ from coastedge.raster import (
     check_samples,
     load_manifest,
     load_scene,
+    read_file,
     read_npy,
+    write_file,
     write_npy,
     write_pgm,
 )
@@ -383,3 +386,33 @@ class TestManifest:
         path.write_text("{nope")
         with pytest.raises(CorpusError):
             load_manifest(path)
+
+    @pytest.mark.parametrize("text", ["[1, 2]", '"x"', "null"])
+    def test_not_a_json_object(self, tmp_path, text):
+        path = tmp_path / "m.json"
+        path.write_text(text)
+        with pytest.raises(CorpusError, match="expected a JSON object"):
+            load_manifest(path)
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_bytes(b"\xff\xfe\xfa")
+        with pytest.raises(CorpusError, match="not valid JSON"):
+            load_manifest(path)
+
+    def test_unreadable_is_io_error(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read .*nope.json"):
+            load_manifest(tmp_path / "nope.json")
+
+
+class TestFileBoundary:
+    def test_parts_written_in_order_str_as_utf8(self, tmp_path):
+        path = tmp_path / "f"
+        write_file(path, "± ", b"\x00\xff", "x")
+        assert read_file(path) == b"\xc2\xb1 \x00\xffx"
+
+    def test_os_faults_are_io_errors(self, tmp_path):
+        with pytest.raises(IoError, match="cannot read"):
+            read_file(tmp_path)
+        with pytest.raises(IoError, match="cannot write"):
+            write_file(tmp_path / "no-such-dir" / "f", b"")
