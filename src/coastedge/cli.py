@@ -8,13 +8,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 
 from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
-from .metrics import MetricParams, compute_all
+from .metrics import MetricParams, PreparedReference, compute_all
 from .preprocess import NOISE_REDUCTIONS, PreprocessSpec, run_pipeline
 from .raster import BandName, LabelMask, check_samples, read_npy, read_stack, write_npy, write_pgm
 
@@ -65,12 +66,7 @@ def _add_metric_flags(parser):
     parser.add_argument("--uqi-window", type=int, default=d.uqi_window, help="UQI uniform window size")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="coastedge", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentDefaultsHelpFormatter
-
-    p = sub.add_parser("detect", formatter_class=fmt, help="detect edges on one band of an image chip")
+def _add_detect_arguments(p):
     p.add_argument("--input", required=True, help="image NPY (HxWx12, canonical band order)")
     p.add_argument("--label", default=None, help="optional binary label NPY; prints metrics when given")
     p.add_argument("--band", required=True, choices=[b.value for b in BandName], help="canonical band name")
@@ -81,7 +77,8 @@ def build_parser() -> _Parser:
     _add_canny_flags(p)
     _add_metric_flags(p)
 
-    p = sub.add_parser("evaluate", formatter_class=fmt, help="run a benchmark experiment over a corpus")
+
+def _add_evaluate_arguments(p):
     p.add_argument("--manifest", required=True, help="corpus manifest JSON")
     p.add_argument("--experiment", choices=(*_EXPERIMENT_KINDS, "all"), default="table1")
     p.add_argument("--out-dir", required=True, help="report output directory")
@@ -90,7 +87,8 @@ def build_parser() -> _Parser:
     _add_canny_flags(p)
     _add_metric_flags(p)
 
-    p = sub.add_parser("synth", formatter_class=fmt, help="generate a seeded synthetic corpus")
+
+def _add_synth_arguments(p):
     p.add_argument("--n", type=int, required=True, help="number of scenes")
     p.add_argument("--size", type=int, default=256, help="scene side length in pixels")
     p.add_argument("--seed", type=int, default=0, help="base seed; scene i uses seed+i")
@@ -101,11 +99,29 @@ def build_parser() -> _Parser:
     p.add_argument("--development-size", type=int, default=8, help="development rectangle side length")
     p.add_argument("--out-dir", required=True, help="corpus output directory")
 
-    p = sub.add_parser("report", formatter_class=fmt, help="re-aggregate an existing records CSV")
+
+def _add_report_arguments(p):
     p.add_argument("--records", required=True, help="records.csv from an evaluate run, with its provenance.json beside it")
     p.add_argument("--format", choices=("markdown", "csv", "plotdata"), default="csv")
     p.add_argument("--out", required=True, help="output file path")
 
+
+def build_parser(argv) -> _Parser:
+    """The parser for `argv`: every subcommand is listed, only the one `argv` runs has arguments.
+
+    Every command is a fresh process, which never needs the other three
+    subcommands' arguments: building them took about a third of a `detect`
+    parse. The top-level parser has no option that takes a value, so the
+    first word of `argv` that is not an option is the subcommand argparse
+    will run.
+    """
+    command = next((word for word in argv if not word.startswith("-")), None)
+    parser = _Parser(prog="coastedge", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (_, help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, formatter_class=argparse.ArgumentDefaultsHelpFormatter, help=help_text)
+        if name == command:
+            add_arguments(p)
     return parser
 
 
@@ -142,32 +158,70 @@ def _read_band(path, band_name: BandName) -> np.ndarray:
     return check_samples(read_stack(path, path)[list(BandName).index(band_name)])
 
 
+class _ReferenceBuilder(threading.Thread):
+    """Builds `detect --label`'s prepared reference on a thread of its own.
+
+    The reference needs the label alone, so it is built on the second core
+    while the calling thread preprocesses, detects and writes the band; numpy
+    releases the GIL in its loops. Both window statistics are computed here,
+    SSIM's before UQI's as `compute_all` would. Whatever the build raises is
+    kept and raised by `reference()`, which the caller reaches only after its
+    own work, so errors show in the serial order.
+    """
+
+    def __init__(self, label: LabelMask, canny_params: CannyParams, metric_params: MetricParams):
+        super().__init__(name="coastedge-reference")
+        self._args = label, canny_params, metric_params
+        self._outcome = None
+
+    def run(self):
+        label, canny_params, metric_params = self._args
+        try:
+            prepared = PreparedReference(derive_reference(label, canny_params), metric_params)
+            prepared.ssim_stats, prepared.uqi_stats
+            self._outcome = prepared
+        except BaseException as exc:  # raised again by reference(), in the caller's thread
+            self._outcome = exc
+
+    def reference(self) -> PreparedReference:
+        self.join()
+        if isinstance(self._outcome, BaseException):
+            raise self._outcome
+        return self._outcome
+
+
 def cmd_detect(args) -> int:
     canny_params, metric_params = _canny_params(args), _metric_params(args)
 
     samples = _read_band(args.input, BandName(args.band))
+    builder = None
     if args.label is not None:
         label = LabelMask(read_npy(args.label))
         if label.values.shape != samples.shape:
             raise ShapeError(
                 f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}"
             )
+        builder = _ReferenceBuilder(label, canny_params, metric_params)
+        builder.start()
 
-    # the image stack and the band, raw and preprocessed, are freed before
-    # scoring, which is the memory peak of this call
-    processed = run_pipeline(samples, _preprocess_spec(args))
-    del samples
-    edges = detect(processed, args.algorithm, canny_params)
-    del processed
+    try:
+        # the image stack and the band, raw and preprocessed, are freed before
+        # scoring, which is the memory peak of this call
+        processed = run_pipeline(samples, _preprocess_spec(args))
+        del samples
+        edges = detect(processed, args.algorithm, canny_params)
+        del processed
 
-    if args.format == "pgm":
-        write_pgm(edges, args.out)
-    else:
-        write_npy(edges, args.out)
+        if args.format == "pgm":
+            write_pgm(edges, args.out)
+        else:
+            write_npy(edges, args.out)
+    finally:
+        if builder is not None:
+            builder.join()
 
-    if args.label is not None:
-        reference = derive_reference(label, canny_params)
-        values = compute_all(edges, reference, metric_params)
+    if builder is not None:
+        values = compute_all(edges, builder.reference(), metric_params)
         print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
     return EXIT_OK
 
@@ -192,7 +246,9 @@ def cmd_evaluate(args) -> int:
         result = run_experiment(args.manifest, spec)
         emit_report(result, out_dir)
         if "markdown" in spec.report_files:
-            print(markdown_table(result.aggregate_rows))
+            # UTF-8 in any locale, like table1.md: the table has a ±
+            sys.stdout.flush()
+            sys.stdout.buffer.write(markdown_table(result.aggregate_rows).encode("utf-8") + b"\n")
         if result.provenance["n_errors"]:
             any_errors = True
             print(
@@ -233,19 +289,20 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+# name: (command, help line, argument builder)
 _COMMANDS = {
-    "detect": cmd_detect,
-    "evaluate": cmd_evaluate,
-    "synth": cmd_synth,
-    "report": cmd_report,
+    "detect": (cmd_detect, "detect edges on one band of an image chip", _add_detect_arguments),
+    "evaluate": (cmd_evaluate, "run a benchmark experiment over a corpus", _add_evaluate_arguments),
+    "synth": (cmd_synth, "generate a seeded synthetic corpus", _add_synth_arguments),
+    "report": (cmd_report, "re-aggregate an existing records CSV", _add_report_arguments),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        args = build_parser(argv).parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except CliError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

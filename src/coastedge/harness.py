@@ -391,25 +391,29 @@ def read_records_csv(path) -> list:
     """Parse a records CSV back into MetricRecord objects (exact floats).
 
     Bytes that are not UTF-8, or a wrong header, row length or metric cell,
-    are a `CorpusError` naming the file and, for a row, its line number.
+    or a line the csv module cannot split, are a `CorpusError` naming the
+    file and, for a row, its line number.
     """
     try:
         text = read_file(path).decode("utf-8")
     except UnicodeDecodeError as exc:
         raise CorpusError(f"{path}: records CSV is not UTF-8: {exc}") from exc
     reader = csv.reader(io.StringIO(text, newline=""))
-    header = next(reader, None)
-    if header is None or tuple(header) != RECORD_COLUMNS:
-        raise CorpusError(f"{path}: unexpected records CSV header {header}")
     records = []
-    for row in reader:
-        if len(row) != len(RECORD_COLUMNS):
-            raise CorpusError(f"{path}: row {reader.line_num}: malformed row {row}")
-        try:
-            metrics = [float(cell) if cell else math.nan for cell in row[4:8]]
-        except ValueError as exc:
-            raise CorpusError(f"{path}: row {reader.line_num}: {exc}") from exc
-        records.append(MetricRecord(*row[:4], *metrics, error=row[8]))
+    try:
+        header = next(reader, None)
+        if header is None or tuple(header) != RECORD_COLUMNS:
+            raise CorpusError(f"{path}: unexpected records CSV header {header}")
+        for row in reader:
+            if len(row) != len(RECORD_COLUMNS):
+                raise CorpusError(f"{path}: row {reader.line_num}: malformed row {row}")
+            try:
+                metrics = [float(cell) if cell else math.nan for cell in row[4:8]]
+            except ValueError as exc:
+                raise CorpusError(f"{path}: row {reader.line_num}: {exc}") from exc
+            records.append(MetricRecord(*row[:4], *metrics, error=row[8]))
+    except csv.Error as exc:  # a line the csv module cannot split, such as an over-long field
+        raise CorpusError(f"{path}: row {reader.line_num}: {exc}") from exc
     return records
 
 

@@ -6,6 +6,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -13,8 +15,9 @@ import numpy as np
 import pytest
 
 import coastedge
+from coastedge import cli
 from coastedge.cli import _canny_params, _metric_params, _preprocess_spec, build_parser, main
-from coastedge.edgedetect import ALGORITHMS, CannyParams
+from coastedge.edgedetect import ALGORITHMS, CannyParams, derive_reference
 from coastedge.metrics import MetricParams
 from coastedge.preprocess import PreprocessSpec
 from coastedge.raster import BandName, read_npy, write_npy
@@ -71,7 +74,7 @@ class TestFlagDefaults:
         ids=["detect", "evaluate"],
     )
     def test_no_flags_give_the_parameter_defaults(self, argv):
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         assert _preprocess_spec(args) == PreprocessSpec()
         assert _canny_params(args) == CannyParams()
         assert _metric_params(args) == MetricParams()
@@ -285,6 +288,83 @@ class TestDetect:
         assert peak <= 10 * 2**20
 
 
+@pytest.fixture()
+def chip16(tmp_path, capsys):
+    """`detect --label` argv, less `--out`, on a 16-pixel chip: a 17-pixel window does not fit."""
+    out = tmp_path / "chip16"
+    code, _, _ = run(
+        capsys, "synth", "--n", "1", "--size", "16", "--seed", "0",
+        "--noise-sigma", "300", "--out-dir", str(out),
+    )
+    assert code == 0
+    return [
+        "detect", "--input", str(out / "synth_000000_image.npy"),
+        "--label", str(out / "synth_000000_label.npy"), "--band", "NIR",
+    ]
+
+
+def slow_derive_reference(label, canny_params):
+    """The reference, late: a thread left running by `main` would still be alive."""
+    time.sleep(0.2)
+    return derive_reference(label, canny_params)
+
+
+class TestReferenceThread:
+    """`detect --label` builds its reference on a second thread; errors show in the serial order."""
+
+    def test_band_fault_wins_over_reference_fault(self, chip16, tmp_path, capsys):
+        out = tmp_path / "edges.pgm"
+        code, stdout, err = run(
+            capsys, *chip16, "--out", str(out), "--gaussian-kernel", "17", "--ssim-window", "17",
+        )
+        assert (code, stdout) == (1, "")
+        assert err == "error: kernel 17 larger than image (16, 16)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--ssim-window", "17"], "image (16, 16) smaller than SSIM window 17"),
+            (["--uqi-window", "17"], "image (16, 16) smaller than UQI window 17"),
+            (["--uqi-window", "17", "--ssim-window", "17"], "image (16, 16) smaller than SSIM window 17"),
+        ],
+        ids=["ssim", "uqi", "both"],
+    )
+    def test_reference_fault_after_output(self, chip16, tmp_path, capsys, flags, message):
+        out = tmp_path / "edges.pgm"
+        code, stdout, err = run(capsys, *chip16, "--out", str(out), *flags)
+        assert (code, stdout) == (1, "")
+        assert err == f"error: {message}\n"
+        assert out.read_bytes().startswith(b"P5\n16 16\n255\n")
+
+    def test_bug_in_reference_escapes_main(self, chip16, tmp_path, monkeypatch):
+        def derive_reference(label, canny_params):
+            raise RuntimeError("bug in derive_reference")
+
+        monkeypatch.setattr(cli, "derive_reference", derive_reference)
+        out = tmp_path / "edges.pgm"
+        with pytest.raises(RuntimeError, match="bug in derive_reference"):
+            main([*chip16, "--out", str(out)])
+        assert out.exists()
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], 0),
+            (["--gaussian-kernel", "17"], 1),
+            (["--ssim-window", "17"], 1),
+            (["--gaussian-kernel", "17", "--ssim-window", "17"], 1),
+        ],
+        ids=["scored", "band_fault", "reference_fault", "both_faults"],
+    )
+    def test_no_thread_outlives_main(self, chip16, tmp_path, capsys, monkeypatch, flags, expected):
+        monkeypatch.setattr(cli, "derive_reference", slow_derive_reference)
+        before = threading.active_count()
+        code, _, _ = run(capsys, *chip16, "--out", str(tmp_path / "edges.pgm"), *flags)
+        assert code == expected
+        assert threading.active_count() == before
+
+
 class TestEvaluate:
     def test_table1_reports_and_stdout(self, corpus_dir, tmp_path, capsys):
         out = tmp_path / "report"
@@ -466,6 +546,23 @@ class TestEvaluate:
         assert code == 2
         assert err.startswith("error: ") and message in err
 
+    def test_table_is_utf8_in_any_locale(self, evaluated, tmp_path):
+        # an ASCII locale with no coercion to UTF-8: stdout is the UTF-8
+        # table, as in table1.md, and no encoding error follows the reports
+        expected = (evaluated / "table1" / "table1.md").read_bytes()
+        assert "±".encode() in expected
+        out = tmp_path / "report"
+        proc = fresh_python(
+            "-m", "coastedge.cli", "evaluate",
+            "--manifest", str(evaluated.parent / "corpus" / "manifest.json"),
+            "--experiment", "table1", "--out-dir", str(out),
+            LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0",
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout.encode() == expected + b"\n"
+        assert (out / "table1.md").read_bytes() == expected
+
 
 class TestDetectMatchesEvaluate:
     def test_metrics_line_is_the_table1_record(self, evaluated, tmp_path, capsys):
@@ -644,6 +741,18 @@ class TestReport:
         )
         assert proc.returncode == 0, proc.stderr
         assert out.read_bytes() == expected
+
+    def test_line_the_csv_module_cannot_split_is_io_error(self, evaluated, tmp_path, capsys):
+        run_dir = copy_run(evaluated / "table1", tmp_path / "run")
+        header = (run_dir / "records.csv").read_bytes().splitlines(keepends=True)[0]
+        (run_dir / "records.csv").write_bytes(header + b"x" * 200_000 + b"\r\n")
+        out = tmp_path / "x.csv"
+        code, _, err = run(
+            capsys, "report", "--records", str(run_dir / "records.csv"), "--out", str(out),
+        )
+        assert code == 2
+        assert err == f"error: {run_dir / 'records.csv'}: row 2: field larger than field limit (131072)\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("column", [4, 5, 6, 7], ids=["rmse", "psnr", "ssim", "uqi"])
     def test_non_numeric_metric_is_io_error(self, evaluated, tmp_path, capsys, column):
