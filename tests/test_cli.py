@@ -338,10 +338,10 @@ class TestReferenceThread:
         assert out.read_bytes().startswith(b"P5\n16 16\n255\n")
 
     def test_bug_in_reference_escapes_main(self, chip16, tmp_path, monkeypatch):
-        def derive_reference(label, canny_params):
+        def broken_derive_reference(label, canny_params):
             raise RuntimeError("bug in derive_reference")
 
-        monkeypatch.setattr(cli, "derive_reference", derive_reference)
+        monkeypatch.setattr(cli, "derive_reference", broken_derive_reference)
         out = tmp_path / "edges.pgm"
         with pytest.raises(RuntimeError, match="bug in derive_reference"):
             main([*chip16, "--out", str(out)])
