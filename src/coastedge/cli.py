@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +16,8 @@ from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
 from .metrics import MetricParams, PreparedReference, compute_all
 from .preprocess import NOISE_REDUCTIONS, PreprocessSpec, run_pipeline
-from .raster import BandName, LabelMask, check_samples, read_npy, read_stack, write_npy, write_pgm
+from .raster import BandName, LabelMask, read_band, read_npy, write_npy, write_pgm
+from .threads import run_beside
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -153,76 +153,45 @@ def _metric_params(args) -> MetricParams:
     )
 
 
-def _read_band(path, band_name: BandName) -> np.ndarray:
-    """One band of an HxWx12 image stack as checked float64 samples; the rest is not kept."""
-    return check_samples(read_stack(path, path)[list(BandName).index(band_name)])
-
-
-class _ReferenceBuilder(threading.Thread):
-    """Builds `detect --label`'s prepared reference on a thread of its own.
-
-    The reference needs the label alone, so it is built on the second core
-    while the calling thread preprocesses, detects and writes the band; numpy
-    releases the GIL in its loops. Both window statistics are computed here,
-    SSIM's before UQI's as `compute_all` would. Whatever the build raises is
-    kept and raised by `reference()`, which the caller reaches only after its
-    own work, so errors show in the serial order.
-    """
-
-    def __init__(self, label: LabelMask, canny_params: CannyParams, metric_params: MetricParams):
-        super().__init__(name="coastedge-reference")
-        self._args = label, canny_params, metric_params
-        self._outcome = None
-
-    def run(self):
-        label, canny_params, metric_params = self._args
-        try:
-            prepared = PreparedReference(derive_reference(label, canny_params), metric_params)
-            prepared.ssim_stats, prepared.uqi_stats
-            self._outcome = prepared
-        except BaseException as exc:  # raised again by reference(), in the caller's thread
-            self._outcome = exc
-
-    def reference(self) -> PreparedReference:
-        self.join()
-        if isinstance(self._outcome, BaseException):
-            raise self._outcome
-        return self._outcome
-
-
 def cmd_detect(args) -> int:
     canny_params, metric_params = _canny_params(args), _metric_params(args)
+    samples = read_band(args.input, BandName(args.band))
 
-    samples = _read_band(args.input, BandName(args.band))
-    builder = None
-    if args.label is not None:
-        label = LabelMask(read_npy(args.label))
-        if label.values.shape != samples.shape:
-            raise ShapeError(
-                f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}"
-            )
-        builder = _ReferenceBuilder(label, canny_params, metric_params)
-        builder.start()
-
-    try:
-        # the image stack and the band, raw and preprocessed, are freed before
-        # scoring, which is the memory peak of this call
+    def band_edges() -> np.ndarray:
+        # the band, raw and preprocessed, is freed before scoring, which is
+        # the memory peak of this call
+        nonlocal samples
         processed = run_pipeline(samples, _preprocess_spec(args))
-        del samples
+        samples = None
         edges = detect(processed, args.algorithm, canny_params)
         del processed
-
         if args.format == "pgm":
             write_pgm(edges, args.out)
         else:
             write_npy(edges, args.out)
-    finally:
-        if builder is not None:
-            builder.join()
+        return edges
 
-    if builder is not None:
-        values = compute_all(edges, builder.reference(), metric_params)
-        print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
+    if args.label is None:
+        band_edges()
+        return EXIT_OK
+
+    label = LabelMask(read_npy(args.label))
+    if label.values.shape != samples.shape:
+        raise ShapeError(f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}")
+
+    def prepared_reference() -> PreparedReference:
+        # both window statistics, SSIM's first, as `compute_all` checks them
+        prepared = PreparedReference(derive_reference(label, canny_params), metric_params)
+        prepared.ssim_stats, prepared.uqi_stats
+        return prepared
+
+    # The reference needs the label alone, so it is built on the second core
+    # while this thread preprocesses, detects and writes the band. Errors show
+    # in the serial order: the band's, then the output file's, then the
+    # reference's.
+    edges, reference = run_beside(prepared_reference, band_edges)
+    values = compute_all(edges, reference, metric_params)
+    print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
     return EXIT_OK
 
 

@@ -147,7 +147,9 @@ def transposed_window_sums(transposed: np.ndarray, kernel: np.ndarray) -> np.nda
     a*a and a*b) builds the transpose once.
     """
     rows = _column_window_sums(transposed, kernel)
-    return _column_window_sums(np.ascontiguousarray(rows.swapaxes(-1, -2)), kernel)
+    # the first pass's output is freed as soon as its transposed copy exists
+    rows = np.ascontiguousarray(rows.swapaxes(-1, -2))
+    return _column_window_sums(rows, kernel)
 
 
 def _column_window_sums(planes: np.ndarray, kernel: np.ndarray) -> np.ndarray:

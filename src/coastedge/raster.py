@@ -2,10 +2,11 @@
 
 Covers the NPY (v1.0) array format used for image chips and labels, binary
 PGM export of edge maps (plain 2D uint8 arrays), and the JSON corpus manifest
-that ties them together. `read_stack` is the one reader of image chips: it
-checks the HxWx12 layout for `load_scene` and for `detect` alike, and
-`check_samples` checks the samples' values. Every file the package reads or
-writes goes through `read_file` and `write_file`; text is UTF-8 in any locale.
+that ties them together. Image chips are read by `read_stack`, for
+`load_scene`, and `read_band`, for `detect`; both check the HxWx12 layout
+in one place, and `check_samples` checks the samples' values. Every file
+the package reads or writes goes through `read_file` and `write_file`; text
+is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -162,6 +163,12 @@ def read_npy(path) -> np.ndarray:
 
     Supports little-endian u8/u16/f32/f64 in C (row-major) order only.
     """
+    array = _npy_view(path)
+    return array.astype(array.dtype.newbyteorder("="))
+
+
+def _npy_view(path) -> np.ndarray:
+    """The array of an NPY v1.0 file as a read-only view of the file's bytes, checked as `read_npy` says."""
     data = read_file(path)
     if len(data) < 10 or data[:6] != _NPY_MAGIC:
         raise FormatError(f"{path}: not an NPY file (bad magic)")
@@ -193,14 +200,13 @@ def read_npy(path) -> np.ndarray:
 
     dtype = np.dtype(_SUPPORTED_DESCRS[descr]).newbyteorder("<")
     count = math.prod(shape)
-    payload = data[header_end:]
-    if len(payload) != count * dtype.itemsize:
+    payload_len = len(data) - header_end
+    if payload_len != count * dtype.itemsize:
         raise FormatError(
-            f"{path}: NPY payload is {len(payload)} bytes, "
+            f"{path}: NPY payload is {payload_len} bytes, "
             f"shape {shape} of {descr} needs {count * dtype.itemsize}"
         )
-    array = np.frombuffer(payload, dtype=dtype, count=count).reshape(shape)
-    return array.astype(dtype.newbyteorder("="))
+    return np.frombuffer(data, dtype=dtype, count=count, offset=header_end).reshape(shape)
 
 
 def write_npy(array: np.ndarray, path) -> None:
@@ -290,19 +296,33 @@ def _resample_nearest(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return array[..., rows[:, None], cols]
 
 
-def read_stack(path, name) -> np.ndarray:
-    """The (12, H, W) band planes of an HxWx12 image NPY, in the file's dtype.
-
-    The one reader of image chips: an array that is not 3-D, has an empty
-    plane, or does not carry 12 bands on its last axis is rejected here,
-    with `name` (a scene id or a path) leading the message.
-    """
-    image = read_npy(path)
+def _band_planes(image: np.ndarray, name) -> np.ndarray:
+    """The (12, H, W) band planes of an HxWx12 image; any other layout is refused, `name` leading the message."""
     if image.ndim != 3 or 0 in image.shape[:2]:
         raise ShapeError(f"{name}: image must be HxWx12, got shape {image.shape}")
     if image.shape[2] != 12:
         raise BandCountError(f"{name}: expected 12 bands on the last axis, got {image.shape[2]}")
     return np.moveaxis(image, 2, 0)
+
+
+def read_stack(path, name) -> np.ndarray:
+    """The (12, H, W) band planes of an HxWx12 image NPY, in the file's dtype.
+
+    An array that is not 3-D, has an empty plane, or does not carry 12
+    bands on its last axis is rejected, with `name` (a scene id or a path)
+    leading the message. `read_band` checks the same layout.
+    """
+    return _band_planes(read_npy(path), name)
+
+
+def read_band(path, band_name: BandName) -> np.ndarray:
+    """One band of an HxWx12 image NPY at `path` as checked float64 samples.
+
+    The band is cast once, straight from the file's bytes, so the other 11
+    bands are never copied; a bad file or layout fails as in `read_stack`.
+    """
+    band = _band_planes(_npy_view(path), path)[list(BandName).index(band_name)]
+    return check_samples(np.array(band, dtype=np.float64))
 
 
 def load_scene(entry: dict) -> Scene:

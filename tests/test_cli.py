@@ -265,7 +265,9 @@ class TestDetect:
     @pytest.mark.parametrize("algorithm", ["canny", "sobel"])
     def test_memory_peak_of_scored_call(self, tmp_path, capsys, algorithm):
         # Above the heap-trim threshold a long-lived process is left with,
-        # every call faults its freed heap back in; 256² calls peak at 9.4 MiB.
+        # every call faults its freed heap back in. A 256² call scores SSIM and
+        # UQI on two threads, so its peak depends on how they interleave: the
+        # highest of 5 warm calls is checked (about 9 MiB over 50 calls).
         code, _, _ = run(
             capsys, "synth", "--n", "1", "--size", "256", "--seed", "1000",
             "--noise-sigma", "300", "--out-dir", str(tmp_path),
@@ -278,14 +280,16 @@ class TestDetect:
             "--band", "NIR", "--algorithm", algorithm, "--out", str(tmp_path / "e.pgm"),
         ]
         assert run(capsys, *argv)[0] == 0  # first call: lazy imports and caches
-        tracemalloc.start()
-        try:
-            code, _, _ = run(capsys, *argv)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak <= 10 * 2**20
+        peaks = []
+        for _ in range(5):
+            tracemalloc.start()
+            try:
+                code, _, _ = run(capsys, *argv)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+        assert max(peaks) <= 10 * 2**20
 
 
 @pytest.fixture()

@@ -1,6 +1,8 @@
 """Metric tests against direct-definition oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from coastedge import metrics
+from coastedge.edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from coastedge.errors import ParamError, ShapeError, WindowError
-from coastedge.harness import ExperimentSpec, aggregate_records
+from coastedge.harness import ExperimentSpec, aggregate_records, run_experiment
 from coastedge.metrics import (
     MetricParams,
     MetricRecord,
@@ -20,7 +24,9 @@ from coastedge.metrics import (
     ssim,
     uqi,
 )
-from coastedge.preprocess import window_sums
+from coastedge.threads import run_beside
+from coastedge.preprocess import PreprocessSpec, run_pipeline, window_sums
+from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 
 from oracles import rmse_direct, ssim_direct, uqi_direct
 
@@ -358,6 +364,142 @@ class TestPreparedReference:
         assert ssim(np.zeros((6, 6)), prepared, params) == 1.0
         with pytest.raises(WindowError, match="UQI window 9"):
             uqi(np.zeros((6, 6)), prepared, params)
+
+
+def one_at_a_time(a, b, params=MetricParams()) -> dict:
+    return {"rmse": rmse(a, b), "psnr": psnr(a, b), "ssim": ssim(a, b, params), "uqi": uqi(a, b, params)}
+
+
+def bits(values: dict) -> dict:
+    return {name: np.float64(value).tobytes() for name, value in values.items()}
+
+
+@pytest.fixture(scope="module")
+def scene256_cells():
+    """(band, algorithm, edge map) of every cell of the 256² seed-1000 scene, and its reference."""
+    scene = generate_scene(SynthSpec(size=256, seed=1000, noise_sigma=300.0))
+    cells = []
+    for band, samples in enumerate(scene.stack):
+        processed = run_pipeline(samples, PreprocessSpec())
+        cells += [(band, algorithm, detect(processed, algorithm, CannyParams())) for algorithm in ALGORITHMS]
+    return cells, derive_reference(scene.label, CannyParams())
+
+
+@pytest.fixture()
+def beside_calls(monkeypatch):
+    """The number of `compute_all` calls that scored on a second thread; no thread may outlive the test."""
+    calls = []
+
+    def counted(side, main):
+        calls.append(1)
+        return run_beside(side, main)
+
+    monkeypatch.setattr(metrics, "run_beside", counted)
+    before = threading.active_count()
+    yield calls
+    assert threading.active_count() == before
+
+
+class TestTwoThreads:
+    """`compute_all` scores large planes' SSIM and UQI on two threads, with the serial bits and errors."""
+
+    def test_scene_cells_equal_one_metric_at_a_time(self, scene256_cells, beside_calls):
+        cells, reference = scene256_cells
+        prepared = PreparedReference(reference)
+        for band, algorithm, edges in cells:
+            got = compute_all(edges, prepared)
+            assert bits(got) == bits(one_at_a_time(edges, reference)), (band, algorithm)
+        assert len(beside_calls) == len(cells) == 48
+
+    @pytest.mark.parametrize(
+        "shape, threaded",
+        [((159, 161), False), ((160, 160), True), ((128, 256), True)],
+        ids=["just_below", "at", "above"],
+    )
+    def test_threshold(self, rng, beside_calls, shape, threaded):
+        assert (math.prod(shape) >= metrics._THREAD_PIXELS) == threaded
+        a = np.where(rng.random(shape) < 0.1, 255, 0).astype(np.uint8)
+        b = np.where(rng.random(shape) < 0.1, 255.0, 0.0)
+        assert bits(compute_all(a, b)) == bits(one_at_a_time(a, b))
+        assert len(beside_calls) == threaded
+
+    def test_canny_map_where_uqi_compacts(self, scene256_cells, beside_calls):
+        # most UQI windows of a Canny map are flat and equal in both maps and
+        # skipped; the rest are gathered and scored
+        cells, reference = scene256_cells
+        (edges,) = [e for band, algorithm, e in cells if (band, algorithm) == (7, "canny")]
+        a, b = edges.astype(float), reference.astype(float)
+        win = MetricParams().uqi_window
+        ones = np.ones(win)
+        spreads = [win * win * window_sums(x * x, ones) - window_sums(x, ones) ** 2 for x in (a, b)]
+        skip = (spreads[0] + spreads[1] <= 0) & (window_sums(a, ones) == window_sums(b, ones))
+        assert skip.any() and not skip.all()
+        assert bits(compute_all(edges, PreparedReference(reference))) == bits(one_at_a_time(edges, reference))
+        assert len(beside_calls) == 1
+
+    def test_real_valued_pair(self, rng, beside_calls):
+        a = rng.normal(100.0, 40.0, (256, 256))
+        b = rng.normal(100.0, 40.0, (256, 256))
+        for params in (MetricParams(), MetricParams(ssim_window=7, ssim_sigma=1.0, uqi_window=5)):
+            assert bits(compute_all(a, b, params)) == bits(one_at_a_time(a, b, params))
+        assert len(beside_calls) == 2
+
+    def test_concurrent_callers_share_one_reference(self, scene256_cells, beside_calls):
+        # three callers on two cores, each scoring on two threads, race on one
+        # reference's statistics with a short switch interval: every cell keeps
+        # its serial bits
+        cells, reference = scene256_cells
+        cells = cells[:6]
+        expected = [bits(one_at_a_time(edges, reference)) for _, _, edges in cells]
+        prepared = PreparedReference(reference)
+        got = {}
+
+        def score(worker):
+            for i in range(worker, len(cells), 3):
+                got[i] = bits(compute_all(cells[i][2], prepared))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=score, args=(w,)) for w in range(3)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert [got.get(i) for i in range(len(cells))] == expected
+        assert len(beside_calls) == len(cells)
+
+    def test_ssim_window_fault_wins(self, beside_calls):
+        params = MetricParams(ssim_window=257, uqi_window=257)
+        with pytest.raises(WindowError, match="SSIM window 257"):
+            compute_all(np.zeros((256, 256)), np.zeros((256, 256)), params)
+
+    def test_uqi_window_fault_alone(self, beside_calls):
+        with pytest.raises(WindowError, match="UQI window 257"):
+            compute_all(np.zeros((256, 256)), np.zeros((256, 256)), MetricParams(uqi_window=257))
+
+    def test_bug_in_second_thread_escapes_compute_all(self, rng, monkeypatch, beside_calls):
+        def broken_uqi(products, ref):
+            raise RuntimeError("bug in _uqi")
+
+        monkeypatch.setattr(metrics, "_uqi", broken_uqi)
+        a, b = random_pair(rng, 256)
+        with pytest.raises(RuntimeError, match="bug in _uqi"):
+            compute_all(a, b)
+        assert len(beside_calls) == 1
+
+    def test_bug_in_second_thread_escapes_run_experiment(self, tmp_path, monkeypatch, beside_calls):
+        def broken_uqi(products, ref):
+            raise RuntimeError("bug in _uqi")
+
+        manifest = generate_corpus(1, SynthSpec(size=256, seed=1000, noise_sigma=300.0), tmp_path)
+        monkeypatch.setattr(metrics, "_uqi", broken_uqi)
+        with pytest.raises(RuntimeError, match="bug in _uqi"):
+            run_experiment(manifest, ExperimentSpec("table1"))
+        assert len(beside_calls) == 1
 
 
 def record(image_id, psnr_value):

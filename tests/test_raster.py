@@ -2,6 +2,7 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,10 @@ from coastedge.raster import (
     check_samples,
     load_manifest,
     load_scene,
+    read_band,
     read_file,
     read_npy,
+    read_stack,
     write_file,
     write_npy,
     write_pgm,
@@ -293,6 +296,64 @@ def _write_pair(tmp_path, image, label, name="chip"):
     write_npy(image, image_path)
     write_npy(label, label_path)
     return {"id": name, "image": str(image_path), "label": str(label_path)}
+
+
+def band_or_fault(read, path):
+    """The float64 NIR band `read` gives for `path`, or the class and message of its fault."""
+    try:
+        return read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReadBand:
+    """`read_band` gives `read_stack`'s band and faults, casting one band from the file's bytes."""
+
+    @staticmethod
+    def from_stack(path):
+        return check_samples(read_stack(path, path)[list(BandName).index(BandName.NIR)])
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32, np.float64])
+    def test_band_of_the_stack(self, tmp_path, rng, dtype):
+        path = tmp_path / "chip.npy"
+        write_npy((rng.random((9, 7, 12)) * 200).astype(dtype), path)
+        band = read_band(path, BandName.NIR)
+        assert band.dtype == np.float64 and band.flags.c_contiguous and band.flags.writeable
+        assert band.tobytes() == self.from_stack(path).tobytes()
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"NOTNPY" + b"\x00" * 64,
+            _npy_file("{'descr': ['<u2'], 'fortran_order': False, 'shape': (2, 4), }", b"\x01" * 16),
+            _npy_bytes("(2, 4)", bytes(8)),
+            _npy_bytes("(2, 2, 12)", bytes(47)),
+            _npy_bytes("(2, 2, 11)", bytes(44)),
+            _npy_bytes("(0, 5, 12)", b""),
+            _npy_bytes("(2, 5, 12)", bytes(120)),
+        ],
+        ids=["bad-magic", "list-descr", "2d", "short-payload", "11-bands", "no-rows", "too-small"],
+    )
+    def test_faults_of_the_stack(self, tmp_path, data):
+        path = tmp_path / "bad.npy"
+        path.write_bytes(data)
+        expected = band_or_fault(self.from_stack, path)
+        assert isinstance(expected, tuple)
+        assert band_or_fault(lambda p: read_band(p, BandName.NIR), path) == expected
+
+    def test_other_bands_are_not_copied(self, tmp_path, rng):
+        path = tmp_path / "chip.npy"
+        write_npy(rng.integers(0, 4000, size=(256, 256, 12)).astype(np.uint16), path)
+        read_band(path, BandName.NIR)
+        tracemalloc.start()
+        try:
+            band = read_band(path, BandName.NIR)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the file's bytes and the float64 band, with room for the samples'
+        # checks; a cast copy of the whole stack alone would take 1.5 MiB more
+        assert peak < path.stat().st_size + 2 * band.nbytes
 
 
 class TestLoadScene:
