@@ -16,7 +16,7 @@ from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
 from .metrics import MetricParams, PreparedReference, compute_all
 from .preprocess import NOISE_REDUCTIONS, PreprocessSpec, run_pipeline
-from .raster import BandName, LabelMask, read_band, read_npy, write_npy, write_pgm
+from .raster import BandName, read_band, read_label, write_npy, write_pgm
 from .threads import run_beside
 
 EXIT_OK = 0
@@ -175,7 +175,7 @@ def cmd_detect(args) -> int:
         band_edges()
         return EXIT_OK
 
-    label = LabelMask(read_npy(args.label))
+    label = read_label(args.label, args.label)
     if label.values.shape != samples.shape:
         raise ShapeError(f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}")
 
@@ -198,23 +198,19 @@ def cmd_detect(args) -> int:
 def cmd_evaluate(args) -> int:
     # every command is a fresh process, so the batch harness and the corpus
     # generator are imported only by the commands that run them
-    from .harness import GRIDS, ExperimentSpec, emit_report, markdown_table, run_experiment
+    from .harness import GRIDS, ExperimentSpec, emit_report, markdown_table, run_experiments
 
     kinds = list(GRIDS) if args.experiment == "all" else [_EXPERIMENT_KINDS[args.experiment]]
+    specs = [
+        ExperimentSpec(kind, _preprocess_spec(args), _canny_params(args), _metric_params(args), args.workers)
+        for kind in kinds
+    ]
     out_base = Path(args.out_dir)
     any_errors = False
-    for kind in kinds:
-        spec = ExperimentSpec(
-            kind,
-            base=_preprocess_spec(args),
-            canny_params=_canny_params(args),
-            metric_params=_metric_params(args),
-            worker_count=args.workers,
-        )
-        out_dir = out_base / kind if len(kinds) > 1 else out_base
-        result = run_experiment(args.manifest, spec)
-        emit_report(result, out_dir)
-        if "markdown" in spec.report_files:
+    for result in run_experiments(args.manifest, specs):
+        kind = result.spec.kind
+        emit_report(result, out_base / kind if len(kinds) > 1 else out_base)
+        if "markdown" in result.spec.report_files:
             # UTF-8 in any locale, like table1.md: the table has a ±
             sys.stdout.flush()
             sys.stdout.buffer.write(markdown_table(result.aggregate_rows).encode("utf-8") + b"\n")

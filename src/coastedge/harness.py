@@ -5,8 +5,10 @@ the full band x algorithm results table, the histogram-equalization
 ablation and the noise-reduction ablation. Scenes come from
 `raster.load_scene` and their reference edges from
 `edgedetect.derive_reference`; only a `CoastEdgeError` becomes an error
-record, anything else is a bug and propagates. Only `evaluate` and `report`
-import this module.
+record, anything else is a bug and propagates. Several experiments run in
+one pass over the corpus (`evaluate --experiment all`): each scene is loaded
+and its reference prepared once, and a cell that several grids share is
+scored once. Only `evaluate` and `report` import this module.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ class ExperimentSpec:
     def report_files(self) -> dict:
         return GRIDS[self.kind]["report_files"]
 
+    @property
+    def cells(self) -> dict:
+        """Each (band, algorithm, preprocessing tag) of the grid -> its rank in canonical record order."""
+        grid = itertools.product([b.value for b in BandName], self.algorithms, self.variant_tags)
+        return {cell: rank for rank, cell in enumerate(grid)}
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -101,11 +109,6 @@ class RunResult:
     records: list
     aggregate_rows: list  # dicts: band, algorithm, preprocess, metric, mean, ...
     provenance: dict
-
-
-# Faults of a cell's data or parameters. Anything else is a bug in the
-# toolkit: it propagates instead of becoming an error record.
-CELL_ERRORS = CoastEdgeError
 
 
 def _error_record(
@@ -138,7 +141,7 @@ def run_cell(
     """
     try:
         values = compute_all(edges, reference, metric_params)
-    except CELL_ERRORS as exc:
+    except CoastEdgeError as exc:
         return _error_record(scene.id, band_name, algorithm, preprocess_spec, exc)
     return MetricRecord(
         image_id=scene.id,
@@ -156,27 +159,36 @@ def run_cell(
 _CHUNK_PIXELS = 24_576
 
 
-def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
-    """All grid cells for one corpus image (the parallel work unit).
+def _cell(record: MetricRecord) -> tuple:
+    return (record.band_name, record.algorithm, record.preprocess_tag)
+
+
+def _scene_records(entry: dict, specs: list[ExperimentSpec]) -> list[MetricRecord]:
+    """The cells of every grid in `specs` for one corpus image (the parallel work unit).
 
     The scene is loaded and its reference derived and prepared once. Its
     band stack is run in chunks of bands: each chunk is preprocessed once per
-    variant and detected once per algorithm, each stage treating every band
-    on its own, and each cell is then scored alone against the prepared
-    reference.
+    variant of any grid and detected once per algorithm any grid runs on
+    that variant, each stage treating every band on its own, and each cell
+    is then scored alone against the prepared reference.
     """
-    variants = spec.preprocess_variants
+    spec = specs[0]  # the specs share every parameter but their kind
+    algorithms_of = {}
+    for s in specs:
+        for variant in s.preprocess_variants:
+            algorithms_of.setdefault(variant, set()).update(s.algorithms)
+    runs = {variant: [a for a in ALGORITHMS if a in names] for variant, names in algorithms_of.items()}
     try:
         scene = load_scene(entry)
         reference = PreparedReference(
             derive_reference(scene.label, spec.canny_params), spec.metric_params
         )
-    except CELL_ERRORS as exc:
+    except CoastEdgeError as exc:
         return [
             _error_record(entry["id"], band, algorithm, variant, exc)
             for band in BandName
-            for algorithm in spec.algorithms
-            for variant in variants
+            for variant, algorithms in runs.items()
+            for algorithm in algorithms
         ]
 
     bands = list(BandName)
@@ -184,18 +196,16 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
     records = []
     for start in range(0, len(bands), per_chunk):
         chunk = bands[start : start + per_chunk]
-        for variant in variants:
+        for variant, algorithms in runs.items():
             try:
                 processed = run_pipeline(scene.stack[start : start + per_chunk], variant)
-            except CELL_ERRORS as exc:
-                records += [
-                    _error_record(scene.id, b, a, variant, exc) for b in chunk for a in spec.algorithms
-                ]
+            except CoastEdgeError as exc:
+                records += [_error_record(scene.id, b, a, variant, exc) for b in chunk for a in algorithms]
                 continue
-            for algorithm in spec.algorithms:
+            for algorithm in algorithms:
                 try:
                     edges = detect(processed, algorithm, spec.canny_params)
-                except CELL_ERRORS as exc:
+                except CoastEdgeError as exc:
                     records += [_error_record(scene.id, b, algorithm, variant, exc) for b in chunk]
                     continue
                 for band, plane in zip(chunk, edges):
@@ -203,22 +213,6 @@ def _scene_records(entry: dict, spec: ExperimentSpec) -> list[MetricRecord]:
                         run_cell(scene, band, algorithm, variant, spec.metric_params, reference, plane)
                     )
     return records
-
-
-def _record_sort_key(spec: ExperimentSpec):
-    band_index = {b.value: i for i, b in enumerate(BandName)}
-    algo_index = {a: i for i, a in enumerate(ALGORITHMS)}
-    tag_index = {t: i for i, t in enumerate(spec.variant_tags)}
-
-    def key(record: MetricRecord):
-        return (
-            record.image_id,
-            band_index[record.band_name],
-            algo_index[record.algorithm],
-            tag_index[record.preprocess_tag],
-        )
-
-    return key
 
 
 def corpus_hash(manifest_path) -> str:
@@ -281,13 +275,18 @@ def aggregate_records(records: list, spec: ExperimentSpec) -> list[dict]:
     return rows
 
 
-def run_experiment(manifest_path, spec: ExperimentSpec) -> RunResult:
-    """Execute the full experiment grid over a corpus.
+def run_experiments(manifest_path, specs) -> list[RunResult]:
+    """Execute several experiment grids in one pass over a corpus; one result per spec.
 
-    The map over images is embarrassingly parallel; records are sorted
-    canonically before aggregation so the result is byte-identical for any
-    worker count.
+    The specs must differ in their kind alone. The map over images is
+    embarrassingly parallel; each spec's records are picked from the pass and
+    sorted canonically before aggregation, so each result is byte-identical
+    to a run of its spec alone, for any worker count.
     """
+    specs = list(specs)
+    spec = specs[0]
+    if any(replace(s, kind=spec.kind) != spec for s in specs):
+        raise ParamError("experiments run in one pass must share every parameter but their kind")
     manifest_path = Path(manifest_path)
     entries = load_manifest(manifest_path)
     # a pool starts all its workers at once, so it gets no more than one per scene
@@ -295,28 +294,37 @@ def run_experiment(manifest_path, spec: ExperimentSpec) -> RunResult:
     records = []
     if workers <= 1:
         for entry in entries:
-            records.extend(_scene_records(entry, spec))
+            records.extend(_scene_records(entry, specs))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for chunk in pool.map(_scene_records, entries, [spec] * len(entries)):
+            for chunk in pool.map(_scene_records, entries, [specs] * len(entries)):
                 records.extend(chunk)
 
-    records.sort(key=_record_sort_key(spec))
-    rows = aggregate_records(records, spec)
-    n_errors = sum(1 for r in records if r.error)
-    provenance = {
-        "experiment": spec.kind,
-        "algorithms": list(spec.algorithms),
-        "preprocess_variants": spec.variant_tags,
-        "canny": asdict(spec.canny_params),
-        "metric_params": asdict(spec.metric_params),
-        "corpus_hash": corpus_hash(manifest_path),
-        "n_images": len(entries),
-        "n_records": len(records),
-        "n_errors": n_errors,
-        "toolkit_version": __version__,
-    }
-    return RunResult(spec=spec, records=records, aggregate_rows=rows, provenance=provenance)
+    digest = corpus_hash(manifest_path)
+    results = []
+    for spec in specs:
+        rank = spec.cells
+        own = [r for r in records if _cell(r) in rank]
+        own.sort(key=lambda r: (r.image_id, rank[_cell(r)]))
+        provenance = {
+            "experiment": spec.kind,
+            "algorithms": list(spec.algorithms),
+            "preprocess_variants": spec.variant_tags,
+            "canny": asdict(spec.canny_params),
+            "metric_params": asdict(spec.metric_params),
+            "corpus_hash": digest,
+            "n_images": len(entries),
+            "n_records": len(own),
+            "n_errors": sum(1 for r in own if r.error),
+            "toolkit_version": __version__,
+        }
+        results.append(RunResult(spec, own, aggregate_records(own, spec), provenance))
+    return results
+
+
+def run_experiment(manifest_path, spec: ExperimentSpec) -> RunResult:
+    """Execute one experiment grid over a corpus: `run_experiments` of one spec."""
+    return run_experiments(manifest_path, [spec])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -530,9 +538,9 @@ def read_run(records_path) -> RunResult:
             )
 
     records = read_records_csv(records_path)
-    cells = {(b.value, a, t) for b in BandName for a in spec.algorithms for t in spec.variant_tags}
+    cells = spec.cells
     for r in records:
-        if (r.band_name, r.algorithm, r.preprocess_tag) not in cells:
+        if _cell(r) not in cells:
             raise ParamError(
                 f"{records_path}: record ({r.image_id}, {r.band_name}, {r.algorithm}, "
                 f"{r.preprocess_tag}) is outside the {spec.kind} grid"

@@ -2,11 +2,11 @@
 
 Covers the NPY (v1.0) array format used for image chips and labels, binary
 PGM export of edge maps (plain 2D uint8 arrays), and the JSON corpus manifest
-that ties them together. Image chips are read by `read_stack`, for
-`load_scene`, and `read_band`, for `detect`; both check the HxWx12 layout
-in one place, and `check_samples` checks the samples' values. Every file
-the package reads or writes goes through `read_file` and `write_file`; text
-is UTF-8 in any locale.
+that ties them together. Image chips are read by `load_scene`, for
+`evaluate`, and `read_band`, for `detect`; both check the HxWx12 layout in
+`_band_planes`, and `check_samples` checks the samples' values. Both read
+labels with `read_label`. Every file the package reads or writes goes
+through `read_file` and `write_file`; text is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -305,21 +305,19 @@ def _band_planes(image: np.ndarray, name) -> np.ndarray:
     return np.moveaxis(image, 2, 0)
 
 
-def read_stack(path, name) -> np.ndarray:
-    """The (12, H, W) band planes of an HxWx12 image NPY, in the file's dtype.
-
-    An array that is not 3-D, has an empty plane, or does not carry 12
-    bands on its last axis is rejected, with `name` (a scene id or a path)
-    leading the message. `read_band` checks the same layout.
-    """
-    return _band_planes(read_npy(path), name)
+def read_label(path, name) -> LabelMask:
+    """The label NPY at `path`; one that is not 2-D or not binary is refused, `name` leading the message."""
+    try:
+        return LabelMask(read_npy(path))
+    except (LabelError, ShapeError) as exc:
+        raise type(exc)(f"{name}: {exc}") from exc
 
 
 def read_band(path, band_name: BandName) -> np.ndarray:
     """One band of an HxWx12 image NPY at `path` as checked float64 samples.
 
     The band is cast once, straight from the file's bytes, so the other 11
-    bands are never copied; a bad file or layout fails as in `read_stack`.
+    bands are never copied; a bad file or layout fails as in `load_scene`.
     """
     band = _band_planes(_npy_view(path), path)[list(BandName).index(band_name)]
     return check_samples(np.array(band, dtype=np.float64))
@@ -332,12 +330,8 @@ def load_scene(entry: dict) -> Scene:
     Band planes whose shape differs from the label are resampled to the
     label grid with nearest-neighbor interpolation.
     """
-    try:
-        label = LabelMask(read_npy(entry["label"]))
-    except (LabelError, ShapeError) as exc:
-        raise type(exc)(f"{entry['id']}: {exc}") from exc
-
-    stack = read_stack(entry["image"], entry["id"]).astype(np.float64, order="C")
+    label = read_label(entry["label"], entry["id"])
+    stack = _band_planes(read_npy(entry["image"]), entry["id"]).astype(np.float64, order="C")
     if stack.shape[1:] != label.values.shape:
         stack = _resample_nearest(stack, label.values.shape)
     return Scene(id=entry["id"], stack=stack, label=label)

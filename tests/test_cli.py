@@ -241,10 +241,11 @@ class TestDetect:
     @pytest.mark.parametrize(
         "label, message",
         [
-            (np.full((32, 32), 2, dtype=np.uint8), "strictly binary"),
+            (np.full((32, 32), 2, dtype=np.uint8), "label values must be strictly binary {0, 1}"),
             (np.zeros((16, 32), dtype=np.uint8), "label shape (16, 32) != band shape (32, 32)"),
+            (np.zeros((32, 32, 2), dtype=np.uint8), "label must be 2D, got shape (32, 32, 2)"),
         ],
-        ids=["non_binary", "other_shape"],
+        ids=["non_binary", "other_shape", "3d"],
     )
     def test_bad_label_is_usage_error_before_output(
         self, corpus_dir, tmp_path, capsys, label, message
@@ -259,7 +260,7 @@ class TestDetect:
             "--band", "NIR", "--out", str(out),
         )
         assert code == 1 and stdout == ""
-        assert message in err
+        assert err == f"error: {label_path}: {message}\n"  # each label fault names the file
         assert not out.exists()
 
     @pytest.mark.parametrize("algorithm", ["canny", "sobel"])

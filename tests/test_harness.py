@@ -26,6 +26,7 @@ from coastedge.harness import (
     read_records_csv,
     run_cell,
     run_experiment,
+    run_experiments,
     write_records_csv,
 )
 from coastedge.metrics import MetricParams, PreparedReference
@@ -140,7 +141,7 @@ class TestFaultIsolation:
             entry = {"id": "c", "image": f"{tmp}/image.npy", "label": f"{tmp}/label.npy"}
             write_npy(rng.integers(0, 4000, size=shape + (12,)).astype(np.uint16), entry["image"])
             write_npy(rng.integers(0, 2, size=shape).astype(np.uint8), entry["label"])
-            records = harness._scene_records(entry, spec)
+            records = harness._scene_records(entry, [spec])
         assert len(records) == 12 * len(spec.algorithms) * len(spec.preprocess_variants)
         side, metric = min(shape), spec.metric_params
         for record in records:
@@ -351,6 +352,49 @@ class TestRunExperiment:
         assert result.provenance["n_errors"] == 12 * 4
         # aggregates still exist from the surviving image
         assert all(r["n_included"] == 1 for r in result.aggregate_rows)
+
+
+class TestOnePass:
+    """`run_experiments` scores several grids in one pass over the corpus."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_one_run_per_spec(self, small_corpus, workers):
+        specs = [ExperimentSpec.for_kind(kind, worker_count=workers) for kind in GRIDS]
+        together = run_experiments(small_corpus, specs)
+        assert [r.spec for r in together] == specs
+        for result, spec in zip(together, specs):
+            alone = run_experiment(small_corpus, spec)
+            assert result.records == alone.records
+            assert result.aggregate_rows == alone.aggregate_rows
+            assert result.provenance == alone.provenance
+
+    def test_shared_work_is_done_once(self, small_corpus, monkeypatch):
+        entries = load_manifest(small_corpus)
+        per_chunk = max(1, harness._CHUNK_PIXELS // load_scene(entries[0]).label.values.size)
+        chunks = -(-12 // per_chunk)
+        calls = {"load_scene": 0, "run_pipeline": 0, "run_cell": 0}
+        for name in calls:
+            original = getattr(harness, name)
+
+            def counted(*args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(harness, name, counted)
+        run_experiments(small_corpus, [ExperimentSpec.for_kind(kind) for kind in GRIDS])
+        scenes = len(entries)
+        # 4 variants, eq=on,noise=gaussian being in all three grids, not 6; and
+        # 7 cells a band (table1's 4, 1 more of the equalization ablation's and
+        # 2 more of the noise ablation's), not 9
+        assert calls == {"load_scene": scenes, "run_pipeline": scenes * chunks * 4, "run_cell": scenes * 12 * 7}
+
+    def test_mixed_parameters_are_refused(self, small_corpus):
+        specs = [
+            ExperimentSpec.for_kind("table1"),
+            ExperimentSpec.for_kind("noise_ablation", canny_params=CannyParams(low_threshold=30.0)),
+        ]
+        with pytest.raises(ParamError, match="share every parameter"):
+            run_experiments(small_corpus, specs)
 
 
 class TestCorpusHash:

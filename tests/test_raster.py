@@ -24,13 +24,13 @@ from coastedge.raster import (
     BandName,
     LabelMask,
     Scene,
+    _band_planes,
     check_samples,
     load_manifest,
     load_scene,
     read_band,
     read_file,
     read_npy,
-    read_stack,
     write_file,
     write_npy,
     write_pgm,
@@ -307,11 +307,11 @@ def band_or_fault(read, path):
 
 
 class TestReadBand:
-    """`read_band` gives `read_stack`'s band and faults, casting one band from the file's bytes."""
+    """`read_band` gives the band and faults of `load_scene`'s stack read, casting one band from the file's bytes."""
 
     @staticmethod
     def from_stack(path):
-        return check_samples(read_stack(path, path)[list(BandName).index(BandName.NIR)])
+        return check_samples(_band_planes(read_npy(path), path)[list(BandName).index(BandName.NIR)])
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.float32, np.float64])
     def test_band_of_the_stack(self, tmp_path, rng, dtype):
