@@ -1,5 +1,9 @@
 """Command-line entry point: detect, evaluate, synth and report subcommands.
 
+`detect` runs one preprocessing variant, chosen with --equalize/--no-equalize
+and --noise. `evaluate` takes neither flag: each experiment grid sets
+equalization and noise reduction for every variant it runs.
+
 Exit codes: 0 success, 1 validation error, 2 I/O error, 3 evaluate run with
 partial cell failures (reports are still written).
 """
@@ -52,8 +56,6 @@ def _add_canny_flags(parser):
 
 def _add_preprocess_flags(parser):
     d = PreprocessSpec()
-    parser.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=d.equalize, help="histogram equalization after scaling")
-    parser.add_argument("--noise", choices=NOISE_REDUCTIONS, default=d.noise_reduction, help="noise reduction method")
     parser.add_argument("--gaussian-kernel", type=int, default=d.gaussian_kernel_size, help="Gaussian blur kernel size")
     parser.add_argument("--gaussian-sigma", type=float, default=d.gaussian_sigma, help="Gaussian blur sigma")
     parser.add_argument("--closing-element", type=int, default=d.closing_element, help="morphological closing element size")
@@ -73,6 +75,9 @@ def _add_detect_arguments(p):
     p.add_argument("--algorithm", choices=ALGORITHMS, default="canny")
     p.add_argument("--out", required=True, help="output edge map path")
     p.add_argument("--format", choices=("npy", "pgm"), default="pgm")
+    d = PreprocessSpec()
+    p.add_argument("--equalize", action=argparse.BooleanOptionalAction, default=d.equalize, help="histogram equalization after scaling")
+    p.add_argument("--noise", choices=NOISE_REDUCTIONS, default=d.noise_reduction, help="noise reduction method")
     _add_preprocess_flags(p)
     _add_canny_flags(p)
     _add_metric_flags(p)
@@ -135,13 +140,13 @@ def _canny_params(args) -> CannyParams:
     )
 
 
-def _preprocess_spec(args) -> PreprocessSpec:
+def _preprocess_spec(args, **variant) -> PreprocessSpec:
+    """The size flags' spec; `variant` sets equalization and noise reduction, else they default."""
     return PreprocessSpec(
-        equalize=args.equalize,
-        noise_reduction=args.noise,
         gaussian_kernel_size=args.gaussian_kernel,
         gaussian_sigma=args.gaussian_sigma,
         closing_element=args.closing_element,
+        **variant,
     )
 
 
@@ -161,7 +166,9 @@ def cmd_detect(args) -> int:
         # the band, raw and preprocessed, is freed before scoring, which is
         # the memory peak of this call
         nonlocal samples
-        processed = run_pipeline(samples, _preprocess_spec(args))
+        processed = run_pipeline(
+            samples, _preprocess_spec(args, equalize=args.equalize, noise_reduction=args.noise)
+        )
         samples = None
         edges = detect(processed, args.algorithm, canny_params)
         del processed

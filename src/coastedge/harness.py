@@ -4,11 +4,13 @@ Runs three experiment shapes over any corpus described by a manifest:
 the full band x algorithm results table, the histogram-equalization
 ablation and the noise-reduction ablation. Scenes come from
 `raster.load_scene` and their reference edges from
-`edgedetect.derive_reference`; only a `CoastEdgeError` becomes an error
-record, anything else is a bug and propagates. Several experiments run in
-one pass over the corpus (`evaluate --experiment all`): each scene is loaded
-and its reference prepared once, and a cell that several grids share is
-scored once. Only `evaluate` and `report` import this module.
+`edgedetect.derive_reference`. Each cell is scored by `run_cell` from its
+record key and the scene's prepared reference; only a `CoastEdgeError`
+becomes an error record, anything else is a bug and propagates. Several
+experiments run in one pass over the corpus (`evaluate --experiment all`):
+each scene is loaded and its reference prepared once, and a cell that
+several grids share is scored once. Only `evaluate` and `report` import
+this module.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ParamError
 from .metrics import METRIC_NAMES, MetricParams, MetricRecord, PreparedReference, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
-from .raster import BandName, Scene, load_manifest, load_scene, read_file, write_file
+from .raster import BandName, load_manifest, load_scene, read_file, write_file
 
 # experiment kind -> its algorithms, the (equalize, noise_reduction) pair of
 # each preprocessing variant, and its report files (format -> file name);
@@ -56,7 +58,11 @@ GRIDS = {
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One experiment: its kind's grid, run from a base preprocessing spec."""
+    """One experiment: its kind's grid, run from a base preprocessing spec.
+
+    Each variant of the grid replaces the base's equalization and noise
+    reduction, so only its kernel, sigma and closing element act.
+    """
 
     kind: str
     base: PreprocessSpec = PreprocessSpec()
@@ -111,45 +117,24 @@ class RunResult:
     provenance: dict
 
 
-def _error_record(
-    image_id: str, band_name: BandName, algorithm: str, variant: PreprocessSpec, exc: Exception
-) -> MetricRecord:
-    return MetricRecord(
-        image_id=image_id,
-        band_name=band_name.value,
-        algorithm=algorithm,
-        preprocess_tag=variant.tag,
-        error=f"{type(exc).__name__}: {exc}",
-    )
+def _error_record(key: tuple, exc: Exception) -> MetricRecord:
+    return MetricRecord(*key, error=f"{type(exc).__name__}: {exc}")
 
 
-def run_cell(
-    scene: Scene,
-    band_name: BandName,
-    algorithm: str,
-    preprocess_spec: PreprocessSpec,
-    metric_params: MetricParams,
-    reference: np.ndarray | PreparedReference,
-    edges: np.ndarray,
-) -> MetricRecord:
-    """Score one band's edge plane against the reference.
+def run_cell(key: tuple, reference: PreparedReference, edges: np.ndarray) -> MetricRecord:
+    """Score one cell's edge plane against the scene's reference.
 
-    `edges` is the 2D edge map `algorithm` detected on the band after
-    `preprocess_spec`, and `reference` the scene's reference edges, plain or
-    prepared for `metric_params`. A data or parameter fault comes back as a
-    record with the error field set, so one bad cell cannot abort a corpus run.
+    `key` is the record's first four fields (image id, band name, algorithm,
+    preprocessing tag), `edges` the 2D edge map detected for the cell and
+    `reference` the scene's prepared reference edges, scored with its own
+    `params`. A data or parameter fault comes back as a record with the
+    error field set, so one bad cell cannot abort a corpus run.
     """
     try:
-        values = compute_all(edges, reference, metric_params)
+        values = compute_all(edges, reference, reference.params)
     except CoastEdgeError as exc:
-        return _error_record(scene.id, band_name, algorithm, preprocess_spec, exc)
-    return MetricRecord(
-        image_id=scene.id,
-        band_name=band_name.value,
-        algorithm=algorithm,
-        preprocess_tag=preprocess_spec.tag,
-        **values,
-    )
+        return _error_record(key, exc)
+    return MetricRecord(*key, **values)
 
 
 # Bands are preprocessed and detected in chunks of at most this many pixels and
@@ -178,6 +163,7 @@ def _scene_records(entry: dict, specs: list[ExperimentSpec]) -> list[MetricRecor
         for variant in s.preprocess_variants:
             algorithms_of.setdefault(variant, set()).update(s.algorithms)
     runs = {variant: [a for a in ALGORITHMS if a in names] for variant, names in algorithms_of.items()}
+    bands = [b.value for b in BandName]
     try:
         scene = load_scene(entry)
         reference = PreparedReference(
@@ -185,13 +171,12 @@ def _scene_records(entry: dict, specs: list[ExperimentSpec]) -> list[MetricRecor
         )
     except CoastEdgeError as exc:
         return [
-            _error_record(entry["id"], band, algorithm, variant, exc)
-            for band in BandName
+            _error_record((entry["id"], band, algorithm, variant.tag), exc)
+            for band in bands
             for variant, algorithms in runs.items()
             for algorithm in algorithms
         ]
 
-    bands = list(BandName)
     per_chunk = max(1, _CHUNK_PIXELS // scene.label.values.size)
     records = []
     for start in range(0, len(bands), per_chunk):
@@ -200,18 +185,16 @@ def _scene_records(entry: dict, specs: list[ExperimentSpec]) -> list[MetricRecor
             try:
                 processed = run_pipeline(scene.stack[start : start + per_chunk], variant)
             except CoastEdgeError as exc:
-                records += [_error_record(scene.id, b, a, variant, exc) for b in chunk for a in algorithms]
+                records += [_error_record((scene.id, b, a, variant.tag), exc) for b in chunk for a in algorithms]
                 continue
             for algorithm in algorithms:
                 try:
                     edges = detect(processed, algorithm, spec.canny_params)
                 except CoastEdgeError as exc:
-                    records += [_error_record(scene.id, b, algorithm, variant, exc) for b in chunk]
+                    records += [_error_record((scene.id, b, algorithm, variant.tag), exc) for b in chunk]
                     continue
                 for band, plane in zip(chunk, edges):
-                    records.append(
-                        run_cell(scene, band, algorithm, variant, spec.metric_params, reference, plane)
-                    )
+                    records.append(run_cell((scene.id, band, algorithm, variant.tag), reference, plane))
     return records
 
 
@@ -310,6 +293,7 @@ def run_experiments(manifest_path, specs) -> list[RunResult]:
             "experiment": spec.kind,
             "algorithms": list(spec.algorithms),
             "preprocess_variants": spec.variant_tags,
+            "preprocess_params": [asdict(v) for v in spec.preprocess_variants],
             "canny": asdict(spec.canny_params),
             "metric_params": asdict(spec.metric_params),
             "corpus_hash": digest,
@@ -357,8 +341,6 @@ AGGREGATE_COLUMNS = (
 
 def _fmt(x: float) -> str:
     """Full-precision float text that parses back to the identical double."""
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return repr(float(x))
 
 
@@ -487,26 +469,18 @@ def write_report(result: RunResult, fmt: str, path) -> None:
         write_plotdata_csv(result.aggregate_rows, result.spec.variant_tags, path)
 
 
-def emit_report(result: RunResult, out_dir) -> list[Path]:
-    """Write an experiment's records, report files and provenance; returns the paths."""
+def emit_report(result: RunResult, out_dir) -> None:
+    """Write an experiment's records, report files and provenance into `out_dir`."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create {out_dir}: {exc}") from exc
 
-    records_path = out_dir / "records.csv"
-    write_records_csv(result.records, records_path)
-    written = [records_path]
+    write_records_csv(result.records, out_dir / "records.csv")
     for fmt, name in result.spec.report_files.items():
-        path = out_dir / name
-        write_report(result, fmt, path)
-        written.append(path)
-
-    provenance_path = out_dir / "provenance.json"
-    write_file(provenance_path, json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
-    written.append(provenance_path)
-    return written
+        write_report(result, fmt, out_dir / name)
+    write_file(out_dir / "provenance.json", json.dumps(result.provenance, indent=2, sort_keys=True) + "\n")
 
 
 def read_run(records_path) -> RunResult:

@@ -17,10 +17,10 @@ import pytest
 import coastedge
 from coastedge import cli
 from coastedge.cli import _canny_params, _metric_params, _preprocess_spec, build_parser, main
-from coastedge.edgedetect import ALGORITHMS, CannyParams, derive_reference
+from coastedge.edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from coastedge.metrics import MetricParams
-from coastedge.preprocess import PreprocessSpec
-from coastedge.raster import BandName, read_npy, write_npy
+from coastedge.preprocess import PreprocessSpec, run_pipeline
+from coastedge.raster import BandName, read_band, read_npy, write_npy
 
 
 def run(capsys, *argv):
@@ -75,7 +75,9 @@ class TestFlagDefaults:
     )
     def test_no_flags_give_the_parameter_defaults(self, argv):
         args = build_parser(argv).parse_args(argv)
-        assert _preprocess_spec(args) == PreprocessSpec()
+        # detect alone takes the variant flags; evaluate's grids set the variant
+        variant = {"equalize": args.equalize, "noise_reduction": args.noise} if argv[0] == "detect" else {}
+        assert _preprocess_spec(args, **variant) == PreprocessSpec()
         assert _canny_params(args) == CannyParams()
         assert _metric_params(args) == MetricParams()
 
@@ -153,6 +155,17 @@ class TestDetect:
         assert all(float(v) == float(v) for v in values)  # parseable, not nan
         edges = read_npy(out)
         assert edges.shape == (32, 32) and edges.dtype == np.uint8
+
+    def test_variant_flags_choose_the_preprocessing(self, corpus_dir, tmp_path, capsys):
+        image, out = corpus_dir / "synth_000010_image.npy", tmp_path / "edges.npy"
+        code, _, _ = run(
+            capsys, "detect", "--input", str(image), "--band", "NIR",
+            "--out", str(out), "--format", "npy", "--no-equalize", "--noise", "closing",
+        )
+        assert code == 0
+        spec = PreprocessSpec(equalize=False, noise_reduction="closing")
+        expected = detect(run_pipeline(read_band(image, BandName.NIR), spec), "canny")
+        np.testing.assert_array_equal(read_npy(out), expected)
 
     def test_unknown_band_lists_names(self, corpus_dir, tmp_path, capsys):
         code, _, err = run(
@@ -392,6 +405,20 @@ class TestEvaluate:
         assert (out / "table1" / "table1.md").exists()
         assert (out / "equalization_ablation" / "fig5_equalization.csv").exists()
         assert (out / "noise_ablation" / "fig6_noise.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flags", [["--equalize"], ["--no-equalize"], ["--noise", "closing"]], ids=["eq", "no-eq", "noise"]
+    )
+    def test_variant_flags_are_refused(self, corpus_dir, tmp_path, capsys, flags):
+        # every grid sets equalization and noise reduction for each variant
+        out = tmp_path / "r"
+        code, stdout, err = run(
+            capsys, "evaluate", "--manifest", str(corpus_dir / "manifest.json"),
+            "--out-dir", str(out), *flags,
+        )
+        assert code == 1 and stdout == ""
+        assert f"unrecognized arguments: {' '.join(flags)}" in err
+        assert not out.exists()
 
     def test_corrupt_chip_gives_partial_exit(self, corpus_dir, tmp_path, capsys):
         (corpus_dir / "synth_000011_image.npy").write_bytes(b"junk")

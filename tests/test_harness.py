@@ -66,12 +66,11 @@ class TestDeriveReference:
 NIR = list(BandName).index(BandName.NIR)
 
 
-def nir_cell(scene, algorithm, spec=PreprocessSpec(), canny_params=CannyParams(), reference=None):
-    """run_cell on the NIR band's edges after `spec`, against the scene's reference."""
-    if reference is None:
-        reference = derive_reference(scene.label, canny_params)
+def nir_cell(scene, algorithm, spec=PreprocessSpec(), canny_params=CannyParams()):
+    """run_cell on the NIR band's edges after `spec`, against the scene's prepared reference."""
+    reference = PreparedReference(derive_reference(scene.label, canny_params), MetricParams())
     edges = detect(run_pipeline(scene.stack[NIR], spec), algorithm, canny_params)
-    return run_cell(scene, BandName.NIR, algorithm, spec, MetricParams(), reference, edges)
+    return run_cell((scene.id, BandName.NIR.value, algorithm, spec.tag), reference, edges)
 
 
 class TestRunCell:
@@ -94,21 +93,18 @@ class TestRunCell:
         assert record.rmse == 0.0 and record.psnr == math.inf
 
     def test_preprocessed_band_and_prepared_reference(self, noisy_scene):
-        plain = derive_reference(noisy_scene.label)
-        prepared = PreparedReference(plain, MetricParams())
+        spec = PreprocessSpec(noise_reduction="closing")
         for algorithm in ("canny", "sobel"):
-            shared = nir_cell(noisy_scene, algorithm, reference=prepared)
-            assert shared == nir_cell(noisy_scene, algorithm, reference=plain)
-            assert shared.error == ""
+            record = nir_cell(noisy_scene, algorithm, spec)
+            assert (record.band_name, record.algorithm, record.preprocess_tag) == ("NIR", algorithm, spec.tag)
+            assert record.error == ""
 
     def test_failure_is_isolated(self, noisy_scene):
         # a reference prepared for windows larger than the scene
         reference = PreparedReference(derive_reference(noisy_scene.label), MetricParams(ssim_window=101))
         edges = detect(run_pipeline(noisy_scene.stack[NIR], PreprocessSpec()), "sobel")
-        record = run_cell(
-            noisy_scene, BandName.NIR, "sobel", PreprocessSpec(), MetricParams(ssim_window=101),
-            reference, edges,
-        )
+        key = (noisy_scene.id, "NIR", "sobel", PreprocessSpec().tag)
+        record = run_cell(key, reference, edges)
         assert record.error == "WindowError: image (64, 64) smaller than SSIM window 101"
         assert math.isnan(record.rmse)
 
@@ -233,9 +229,8 @@ class TestBandIndependence:
                 for algorithm in spec.algorithms:
                     for variant in spec.preprocess_variants:
                         edges = detect(run_pipeline(scene.stack[i : i + 1], variant), algorithm)
-                        expected.append(
-                            run_cell(scene, band, algorithm, variant, MetricParams(), reference, edges[0])
-                        )
+                        key = (scene.id, band.value, algorithm, variant.tag)
+                        expected.append(run_cell(key, reference, edges[0]))
             records = run_experiment(manifest, spec).records
             assert records == expected, kind
             assert not any(r.error for r in records)
@@ -454,8 +449,8 @@ class TestCsvRoundTrip:
 class TestEmitReport:
     def test_table1_outputs(self, small_corpus, tmp_path):
         result = run_experiment(small_corpus, ExperimentSpec.for_kind("table1"))
-        written = emit_report(result, tmp_path / "out")
-        names = sorted(p.name for p in written)
+        emit_report(result, tmp_path / "out")
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
         assert names == ["aggregates.csv", "provenance.json", "records.csv", "table1.md"]
         with open(tmp_path / "out" / "aggregates.csv", newline="") as fh:
             rows = list(csv.reader(fh))
@@ -464,14 +459,28 @@ class TestEmitReport:
 
     def test_ablation_plotdata(self, small_corpus, tmp_path):
         result = run_experiment(small_corpus, ExperimentSpec.for_kind("equalization_ablation"))
-        written = emit_report(result, tmp_path / "out")
+        emit_report(result, tmp_path / "out")
+        names = sorted(p.name for p in (tmp_path / "out").iterdir())
+        assert names == ["aggregates.csv", "fig5_equalization.csv", "provenance.json", "records.csv"]
         plot = tmp_path / "out" / "fig5_equalization.csv"
-        assert plot in written
         with open(plot, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["band", "eq=on,noise=gaussian", "eq=off,noise=gaussian"]
         assert len(rows) == 13
         assert all(len(row) == 3 for row in rows)
+
+    def test_provenance_names_the_preprocessing_params(self, small_corpus, tmp_path):
+        base = PreprocessSpec(equalize=False, noise_reduction="none", gaussian_kernel_size=7, closing_element=5)
+        result = run_experiment(small_corpus, ExperimentSpec.for_kind("noise_ablation", base=base))
+        emit_report(result, tmp_path / "out")
+        provenance = json.loads((tmp_path / "out" / "provenance.json").read_text())
+        # each variant's own equalization and noise reduction, with the base's sizes
+        assert provenance["preprocess_params"] == [
+            {"equalize": True, "noise_reduction": noise, "gaussian_kernel_size": 7,
+             "gaussian_sigma": 1.0, "closing_element": 5}
+            for noise in ("none", "gaussian", "closing")
+        ]  # fmt: skip
+        assert provenance["preprocess_variants"] == result.spec.variant_tags
 
     @pytest.mark.parametrize("name", ["provenance.json", "table1.md"])
     def test_unwritable_file_is_io_error(self, small_corpus, tmp_path, name):
