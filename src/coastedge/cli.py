@@ -94,14 +94,17 @@ def _add_evaluate_arguments(p):
 
 
 def _add_synth_arguments(p):
+    from .synth import BOUNDARY_KINDS, SynthSpec
+
+    d = SynthSpec()
     p.add_argument("--n", type=int, required=True, help="number of scenes")
-    p.add_argument("--size", type=int, default=256, help="scene side length in pixels")
-    p.add_argument("--seed", type=int, default=0, help="base seed; scene i uses seed+i")
-    p.add_argument("--boundary", choices=("halfplane", "sinusoid", "blob"), default="sinusoid")
-    p.add_argument("--noise-sigma", type=float, default=100.0, help="per-pixel Gaussian noise sigma (raw scale)")
-    p.add_argument("--contrast", type=float, default=1.0, help="land/water contrast compression factor in (0,1]")
-    p.add_argument("--development", type=int, default=0, help="number of high-intensity development rectangles")
-    p.add_argument("--development-size", type=int, default=8, help="development rectangle side length")
+    p.add_argument("--size", type=int, default=d.size, help="scene side length in pixels")
+    p.add_argument("--seed", type=int, default=d.seed, help="base seed; scene i uses seed+i")
+    p.add_argument("--boundary", choices=BOUNDARY_KINDS, default=d.boundary)
+    p.add_argument("--noise-sigma", type=float, default=d.noise_sigma, help="per-pixel Gaussian noise sigma (raw scale)")
+    p.add_argument("--contrast", type=float, default=d.contrast, help="land/water contrast compression factor in (0,1]")
+    p.add_argument("--development", type=int, default=d.development_count, help="number of high-intensity development rectangles")
+    p.add_argument("--development-size", type=int, default=d.development_size, help="development rectangle side length")
     p.add_argument("--out-dir", required=True, help="corpus output directory")
 
 
@@ -187,10 +190,7 @@ def cmd_detect(args) -> int:
         raise ShapeError(f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}")
 
     def prepared_reference() -> PreparedReference:
-        # both window statistics, SSIM's first, as `compute_all` checks them
-        prepared = PreparedReference(derive_reference(label, canny_params), metric_params)
-        prepared.ssim_stats, prepared.uqi_stats
-        return prepared
+        return PreparedReference(derive_reference(label, canny_params), metric_params).built()
 
     # The reference needs the label alone, so it is built on the second core
     # while this thread preprocesses, detects and writes the band. Errors show
@@ -218,9 +218,14 @@ def cmd_evaluate(args) -> int:
         kind = result.spec.kind
         emit_report(result, out_base / kind if len(kinds) > 1 else out_base)
         if "markdown" in result.spec.report_files:
-            # UTF-8 in any locale, like table1.md: the table has a ±
-            sys.stdout.flush()
-            sys.stdout.buffer.write(markdown_table(result.aggregate_rows).encode("utf-8") + b"\n")
+            table = markdown_table(result.aggregate_rows) + "\n"
+            buffer = getattr(sys.stdout, "buffer", None)
+            if buffer is None:  # a text-only stream, such as io.StringIO
+                sys.stdout.write(table)
+            else:
+                # UTF-8 in any locale, like table1.md: the table has a ±
+                sys.stdout.flush()
+                buffer.write(table.encode("utf-8"))
         if result.provenance["n_errors"]:
             any_errors = True
             print(

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ParamError
-from .preprocess import blur_array, check_sigma, normalize_planes, pad_edges, round_half_up
+from .preprocess import blur_array, check_sigma, normalize_planes, pad_edges, scale_minmax
 from .raster import LabelMask
 
 ALGORITHMS = ("canny", "sobel", "scharr", "prewitt")
@@ -105,7 +105,7 @@ def gradient_magnitude(image: np.ndarray, weights: tuple[int, int]) -> np.ndarra
 
 def magnitude_to_edgemap(magnitude: np.ndarray) -> np.ndarray:
     """Quantize each plane's normalized gradient magnitude to an 8-bit uint8 map."""
-    return round_half_up(normalize_planes(magnitude)).astype(np.uint8)
+    return scale_minmax(magnitude).astype(np.uint8)
 
 
 def _direction_sector(direction: np.ndarray) -> np.ndarray:

@@ -18,9 +18,10 @@ caller's. numpy releases the GIL in its loops, so the two overlap. On a
 shared 2-vCPU host, serial against threaded took 0.7 / 1.2 ms a cell at
 64², 1.8 / 1.9 ms at 128², 2.1 / 2.1 ms at 144², 2.5 / 2.4 ms at 160² and
 6.7 / 5.0 ms at 256² (median of many interleaved calls), so smaller planes
-stay serial. Both reference statistics are built first, SSIM's before
-UQI's: a window fault shows as in the serial order, and the threads only
-read them (`cached_property` takes no lock from Python 3.12).
+stay serial. `PreparedReference.built` builds both reference statistics
+first, SSIM's before UQI's: a window fault shows as in the serial order,
+and the threads only read them (`cached_property` takes no lock from
+Python 3.12). `detect --label` calls it too, on its reference thread.
 
 Neither thread writes what the other reads, so the bits are the serial
 ones. Each metric builds its index in place, in buffers it already holds:
@@ -75,20 +76,8 @@ class MetricRecord:
     error: str = ""
 
 
-def _as_float(img) -> np.ndarray:
-    if isinstance(img, PreparedReference):
-        img = img.values
-    return np.asarray(img, dtype=np.float64)
-
-
-def _check_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
-    a, b = _as_float(a), _as_float(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def _rmse(a: np.ndarray, b: np.ndarray) -> float:
+    # a - b casts each sample of a to float64 exactly, as a float copy would
     return float(np.sqrt(np.mean((a - b) ** 2)))
 
 
@@ -99,8 +88,9 @@ def _psnr(err: float) -> float:
 
 
 def rmse(a, b) -> float:
-    """Root mean square pixel error on the 0..255 scale."""
-    return _rmse(*_check_pair(a, b))
+    """Root mean square pixel error on the 0..255 scale; `b` may be a PreparedReference."""
+    a, ref = _prepared_pair(a, b, b.params if isinstance(b, PreparedReference) else MetricParams())
+    return _rmse(a, ref.values)
 
 
 def psnr(a, b) -> float:
@@ -127,7 +117,12 @@ class PreparedReference:
     params: MetricParams = MetricParams()
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _as_float(self.values))
+        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
+
+    def built(self) -> PreparedReference:
+        """This reference with both window statistics built, SSIM's first (see the module docstring)."""
+        self.ssim_stats, self.uqi_stats
+        return self
 
     @cached_property
     def ssim_stats(self) -> tuple:
@@ -302,11 +297,8 @@ _THREAD_PIXELS = 160 * 160
 def compute_all(a, b, params: MetricParams = MetricParams()) -> dict:
     """All four metrics for one image pair; `b` may be a PreparedReference for `params`."""
     a, ref = _prepared_pair(a, b, params)
-    # a - b casts each sample of a to float64 exactly, as a float copy would
     err = _rmse(a, ref.values)
-    # Both statistics are built here, SSIM's first: a window fault shows as
-    # the serial order shows it, and the threads below only read them.
-    ref.ssim_stats, ref.uqi_stats
+    ref.built()
     at, aat, abt = _transposed_products(a, ref)
     ssim_products, uqi_products = [at, aat, abt], [at, aat, abt]
     del at, aat, abt

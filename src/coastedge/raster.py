@@ -2,11 +2,13 @@
 
 Covers the NPY (v1.0) array format used for image chips and labels, binary
 PGM export of edge maps (plain 2D uint8 arrays), and the JSON corpus manifest
-that ties them together. Image chips are read by `load_scene`, for
-`evaluate`, and `read_band`, for `detect`; both check the HxWx12 layout in
-`_band_planes`, and `check_samples` checks the samples' values. Both read
-labels with `read_label`. Every file the package reads or writes goes
-through `read_file` and `write_file`; text is UTF-8 in any locale.
+that ties them together. Every NPY read is `read_npy`'s checked, read-only
+view of the file's bytes, cast once by its caller: a whole stack to float64
+by `load_scene`, for `evaluate`, one band to float64 by `read_band`, for
+`detect`, and a label to uint8 by `LabelMask`. Both image readers check the
+HxWx12 layout in `_band_planes`, and `check_samples` checks the samples'
+values. Both read labels with `read_label`. Every file the package reads or
+writes goes through `read_file` and `write_file`; text is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -159,16 +161,11 @@ _DTYPE_TO_DESCR = {
 
 
 def read_npy(path) -> np.ndarray:
-    """Read a 2D or 3D array from an NPY v1.0 file.
+    """A 2D or 3D array of an NPY v1.0 file, as a read-only view of the file's bytes.
 
-    Supports little-endian u8/u16/f32/f64 in C (row-major) order only.
+    Supports little-endian u8/u16/f32/f64 in C (row-major) order only; the
+    view's dtype is little-endian, and each caller casts it once.
     """
-    array = _npy_view(path)
-    return array.astype(array.dtype.newbyteorder("="))
-
-
-def _npy_view(path) -> np.ndarray:
-    """The array of an NPY v1.0 file as a read-only view of the file's bytes, checked as `read_npy` says."""
     data = read_file(path)
     if len(data) < 10 or data[:6] != _NPY_MAGIC:
         raise FormatError(f"{path}: not an NPY file (bad magic)")
@@ -319,7 +316,7 @@ def read_band(path, band_name: BandName) -> np.ndarray:
     The band is cast once, straight from the file's bytes, so the other 11
     bands are never copied; a bad file or layout fails as in `load_scene`.
     """
-    band = _band_planes(_npy_view(path), path)[list(BandName).index(band_name)]
+    band = _band_planes(read_npy(path), path)[list(BandName).index(band_name)]
     return check_samples(np.array(band, dtype=np.float64))
 
 

@@ -9,7 +9,7 @@ bit-identically.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -17,9 +17,9 @@ import numpy as np
 from .errors import IoError, ParamError
 from .raster import BandName, LabelMask, Scene, write_file, write_npy
 
-# default (land, water) raw intensities per band, loosely sentinel-2 flavored:
+# (land, water) raw intensities per band, loosely sentinel-2 flavored:
 # water bright in the short wavelengths, land bright in NIR/SWIR
-DEFAULT_CLASS_MEANS = {
+CLASS_MEANS = {
     BandName.COASTAL_AEROSOL: (1900.0, 1500.0),
     BandName.BLUE: (1800.0, 1450.0),
     BandName.GREEN: (1900.0, 1300.0),
@@ -48,7 +48,6 @@ class SynthSpec:
     boundary: str = "sinusoid"
     sinusoid_amplitude: float = 20.0
     sinusoid_period: float = 64.0
-    class_means: dict = field(default_factory=lambda: dict(DEFAULT_CLASS_MEANS))
     noise_sigma: float = 100.0
     contrast: float = 1.0
     development_count: int = 0
@@ -75,10 +74,6 @@ class SynthSpec:
                     f"development_size {self.development_size} does not fit a "
                     f"{self.boundary} scene of size {self.size}: it must be below {room}"
                 )
-        if set(self.class_means) != set(BandName):
-            raise ParamError("class_means must cover all 12 bands")
-        if all(land == water for land, water in self.class_means.values()):
-            raise ParamError("at least one band needs distinct land/water means")
 
 
 def boundary_columns(spec: SynthSpec) -> np.ndarray:
@@ -139,7 +134,7 @@ def generate_scene(spec: SynthSpec) -> Scene:
     # band by band, so temporaries stay one plane in size
     stack = np.empty((len(BandName),) + land.shape)
     for name, plane in zip(BandName, stack):
-        land_mean, water_mean = spec.class_means[name]
+        land_mean, water_mean = CLASS_MEANS[name]
         mid = 0.5 * (land_mean + water_mean)
         land_mean = mid + (land_mean - mid) * spec.contrast
         water_mean = mid + (water_mean - mid) * spec.contrast

@@ -1,6 +1,8 @@
 """Command-line interface tests, driven through main() with explicit argv."""
 
+import contextlib
 import csv
+import io
 import json
 import os
 import shutil
@@ -595,6 +597,19 @@ class TestEvaluate:
         assert proc.stdout.encode() == expected + b"\n"
         assert (out / "table1.md").read_bytes() == expected
 
+    def test_table_goes_to_a_text_only_stdout(self, evaluated, tmp_path):
+        # an in-process caller may redirect stdout to a stream with no `buffer`
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main([
+                "evaluate", "--manifest", str(evaluated.parent / "corpus" / "manifest.json"),
+                "--experiment", "table1", "--out-dir", str(tmp_path / "report"),
+            ])
+        assert code == 0
+        expected = (evaluated / "table1" / "table1.md").read_text(encoding="utf-8")
+        assert stdout.getvalue() == expected + "\n"
+        assert (tmp_path / "report" / "table1.md").read_text(encoding="utf-8") == expected
+
 
 class TestDetectMatchesEvaluate:
     def test_metrics_line_is_the_table1_record(self, evaluated, tmp_path, capsys):
@@ -879,6 +894,7 @@ import sys
 
 import coastedge.cli
 
+coastedge.cli.build_parser(["detect", "--input", "x.npy", "--band", "NIR", "--out", "e.pgm"])
 print([name for name in {BATCH_MODULES!r} if name in sys.modules])
 """
 

@@ -118,6 +118,16 @@ class TestNpy:
         assert out.shape == (2, 2, 12)
         np.testing.assert_array_equal(out, stack)
 
+    def test_read_is_a_read_only_little_endian_view(self, tmp_path):
+        # each caller casts the view once; none writes into the file's bytes
+        path = tmp_path / "v.npy"
+        write_npy(np.arange(6, dtype=np.uint16).reshape(2, 3), path)
+        out = read_npy(path)
+        assert not out.flags.writeable
+        assert out.dtype.str == "<u2"
+        with pytest.raises(ValueError):
+            out[0, 0] = 1
+
     def test_fortran_order_rejected(self, tmp_path):
         path = tmp_path / "f.npy"
         np.save(path, np.asfortranarray(np.arange(12, dtype=np.uint16).reshape(3, 4)))

@@ -7,6 +7,7 @@ from coastedge.edgedetect import CannyParams, canny
 from coastedge.errors import ParamError
 from coastedge.raster import BandName, load_manifest, load_scene
 from coastedge.synth import (
+    CLASS_MEANS,
     DEVELOPMENT_INTENSITY,
     SynthSpec,
     boundary_columns,
@@ -36,6 +37,10 @@ class TestSpecValidation:
     def test_negative_noise(self):
         with pytest.raises(ParamError):
             SynthSpec(noise_sigma=-1.0)
+
+    def test_spec_is_hashable(self):
+        # a frozen spec of plain values: equal specs hash alike
+        assert hash(SynthSpec(size=32, seed=4)) == hash(SynthSpec(size=32, seed=4))
 
 
 class TestLabels:
@@ -77,7 +82,7 @@ class TestGenerateScene:
         scene = generate_scene(spec)
         land = scene.label.values == 0
         for name, samples in zip(BandName, scene.stack):
-            land_mean, water_mean = spec.class_means[name]
+            land_mean, water_mean = CLASS_MEANS[name]
             assert (samples[land] == land_mean).all()
             assert (samples[~land] == water_mean).all()
 
