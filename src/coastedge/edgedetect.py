@@ -203,8 +203,11 @@ def _hysteresis(shape: tuple, index: np.ndarray, strong: np.ndarray) -> np.ndarr
     return edges
 
 
-def _canny(image: np.ndarray, params: CannyParams) -> tuple:
-    """Canny's edge map, and the Sobel gx, gy, magnitude and normalized magnitude it used."""
+def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> np.ndarray:
+    """Full Canny chain: smooth, Sobel gradients, NMS, double-threshold, hysteresis.
+
+    Gives a uint8 map of the input's shape, 255 on edge pixels and 0 elsewhere.
+    """
     if params.smoothing:
         image = blur_array(image, params.smooth_kernel_size, params.smooth_sigma)
     gx, gy = _separable_gradients(image, KERNELS["sobel"])
@@ -215,27 +218,7 @@ def _canny(image: np.ndarray, params: CannyParams) -> tuple:
     index = np.flatnonzero(normalized >= params.low_threshold)
     index = index[_nms_at(magnitude, gx, gy, index)]
     strong = normalized.ravel()[index] >= params.high_threshold
-    return _hysteresis(magnitude.shape, index, strong), (gx, gy, magnitude, normalized)
-
-
-def canny(image: np.ndarray, params: CannyParams = CannyParams()) -> np.ndarray:
-    """Full Canny chain: smooth, Sobel gradients, NMS, double-threshold, hysteresis.
-
-    Gives a uint8 map of the input's shape, 255 on edge pixels and 0 elsewhere.
-    """
-    return _canny(image, params)[0]
-
-
-def canny_debug(image: np.ndarray, params: CannyParams = CannyParams()):
-    """Canny returning the edge map plus intermediate fields for verification.
-
-    Debug dict keys: normalized_magnitude, nms_mask (over every pixel) and
-    strong. Every strong pixel is an edge pixel.
-    """
-    edges, (gx, gy, magnitude, normalized) = _canny(image, params)
-    nms = _nms_at(magnitude, gx, gy, np.arange(magnitude.size)).reshape(magnitude.shape)
-    strong = nms & (normalized >= params.high_threshold)
-    return edges, {"normalized_magnitude": normalized, "nms_mask": nms, "strong": strong}
+    return _hysteresis(magnitude.shape, index, strong)
 
 
 def derive_reference(label: LabelMask, canny_params: CannyParams = CannyParams()) -> np.ndarray:

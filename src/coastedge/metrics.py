@@ -2,9 +2,10 @@
 
 SSIM's Gaussian-weighted and UQI's unweighted window sums are taken by
 `preprocess.window_sums`: along the last axis first, each output adding its
-products one after another in kernel order. The golden records are pinned
-to the bits of that order, so keep it. UQI's sums are exact integers on
-integer-valued images (every edge map), whatever the order; SSIM's are not.
+products one after another in kernel order, at every plane width. The
+golden records are pinned to the bits of that order, so keep it. UQI's sums
+are exact integers on integer-valued images (every edge map), whatever the
+order; SSIM's are not.
 
 A scored candidate `a` enters the window sums through
 `preprocess.transposed_window_sums`: its transpose is built once, straight

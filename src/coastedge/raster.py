@@ -7,8 +7,10 @@ view of the file's bytes, cast once by its caller: a whole stack to float64
 by `load_scene`, for `evaluate`, one band to float64 by `read_band`, for
 `detect`, and a label to uint8 by `LabelMask`. Both image readers check the
 HxWx12 layout in `_band_planes`, and `check_samples` checks the samples'
-values. Both read labels with `read_label`. Every file the package reads or
-writes goes through `read_file` and `write_file`; text is UTF-8 in any locale.
+values. Both read labels with `read_label`, and both refuse a label whose
+HxW differs from the image's with a `ShapeError`: nothing is resampled.
+Every file the package reads or writes goes through `read_file` and
+`write_file`; text is UTF-8 in any locale.
 """
 
 from __future__ import annotations
@@ -284,15 +286,6 @@ def load_manifest(path) -> list[dict]:
     return entries
 
 
-def _resample_nearest(array: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Nearest-neighbor resample of the last two axes of an array to the given (H, W)."""
-    in_h, in_w = array.shape[-2:]
-    out_h, out_w = shape
-    rows = np.minimum((np.arange(out_h) * in_h // out_h), in_h - 1)
-    cols = np.minimum((np.arange(out_w) * in_w // out_w), in_w - 1)
-    return array[..., rows[:, None], cols]
-
-
 def _band_planes(image: np.ndarray, name) -> np.ndarray:
     """The (12, H, W) band planes of an HxWx12 image; any other layout is refused, `name` leading the message."""
     if image.ndim != 3 or 0 in image.shape[:2]:
@@ -324,11 +317,9 @@ def load_scene(entry: dict) -> Scene:
     """Load one manifest entry into a Scene with a (12, H, W) band stack.
 
     The label is read first, so a bad label is reported before a bad image.
-    Band planes whose shape differs from the label are resampled to the
-    label grid with nearest-neighbor interpolation.
+    A label whose HxW differs from the image's is a `ShapeError` naming the
+    scene, raised by `Scene`; `detect --label` refuses the same pair.
     """
     label = read_label(entry["label"], entry["id"])
     stack = _band_planes(read_npy(entry["image"]), entry["id"]).astype(np.float64, order="C")
-    if stack.shape[1:] != label.values.shape:
-        stack = _resample_nearest(stack, label.values.shape)
     return Scene(id=entry["id"], stack=stack, label=label)

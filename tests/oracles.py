@@ -279,18 +279,3 @@ def window_sums_loops(image, kernel):
             sums.append(row)
         out.append(sums)
     return np.array(out, dtype=np.float64).reshape(*lead, h - k + 1, w - k + 1)
-
-
-def resample_nearest_loops(stack, shape):
-    """Nearest-neighbour resampling of each plane (P, H, W) to `shape`, from the
-    definition: output pixel (r, c) takes the input pixel that holds the point
-    (r * H / out_h, c * W / out_w), its top-left corner on the input grid."""
-    stack = np.asarray(stack)
-    planes, in_h, in_w = stack.shape
-    out_h, out_w = shape
-    out = np.zeros((planes, out_h, out_w), dtype=stack.dtype)
-    for p in range(planes):
-        for r in range(out_h):
-            for c in range(out_w):
-                out[p, r, c] = stack[p, math.floor(r * in_h / out_h), math.floor(c * in_w / out_w)]
-    return out

@@ -2,7 +2,8 @@
 
 Each test prints one ``criterion N (...): PASS/FAIL`` line. Criterion 5
 needs a real 98-chip satellite corpus and is skipped unless the
-COASTEDGE_SWED_MANIFEST environment variable points at its manifest.
+COASTEDGE_SWED_MANIFEST environment variable points at its manifest; its
+claims are still computed, on a synthetic corpus, by a test that always runs.
 """
 
 import contextlib
@@ -15,13 +16,14 @@ import time
 import numpy as np
 import pytest
 
-from coastedge.edgedetect import KERNELS, CannyParams, _separable_gradients, canny_debug, derive_reference
+from coastedge.edgedetect import KERNELS, CannyParams, _separable_gradients, derive_reference
 from coastedge.harness import ExperimentSpec, run_experiment
 from coastedge.metrics import psnr, rmse, ssim, uqi
 from coastedge.preprocess import PreprocessSpec, run_pipeline
 from coastedge.raster import BandName, load_manifest, load_scene
 from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 
+from canny_steps import canny_debug
 from oracles import GRADIENT_KERNELS, convolve2d_loops, psnr_direct, rmse_direct, ssim_direct, uqi_direct
 
 WORKERS = min(4, os.cpu_count() or 1)
@@ -190,44 +192,62 @@ def test_criterion_4_directional_reproduction(tmp_path_factory):
         assert time.monotonic() - start < 300
 
 
+def satellite_claims(manifest) -> dict[str, bool]:
+    """Criterion 5's verdicts on the table1 run of a corpus, one per claim of the paper."""
+    bands = [b.value for b in BandName]
+    result = run_experiment(manifest, ExperimentSpec.for_kind("table1", worker_count=WORKERS))
+    ssim_cells = mean_psnr_by_band(result, metric="ssim")
+    psnr_cells = mean_psnr_by_band(result, metric="psnr")
+    tag = "eq=on,noise=gaussian"
+
+    def mean_psnr(algo):
+        return statistics.fmean(psnr_cells[(b, algo, tag)] for b in bands)
+
+    verdicts = {
+        # (a) canny best SSIM everywhere; prewitt best PSNR with canny second
+        "canny has the best SSIM in every band": all(
+            ssim_cells[(band, "canny", tag)] > ssim_cells[(band, algo, tag)]
+            for band in bands
+            for algo in ("sobel", "scharr", "prewitt")
+        ),
+        "mean PSNR: prewitt > canny > sobel, scharr": (
+            mean_psnr("prewitt") > mean_psnr("canny") > max(mean_psnr("sobel"), mean_psnr("scharr"))
+        ),
+    }
+    # (b) CoastalAerosol and WaterVapour rank top-2 by SSIM per algorithm
+    for algo in ("canny", "sobel", "scharr", "prewitt"):
+        ranked = sorted(bands, key=lambda b: ssim_cells[(b, algo, tag)], reverse=True)
+        verdicts[f"{algo}: CoastalAerosol and WaterVapour top-2 by SSIM"] = (
+            set(ranked[:2]) == {"CoastalAerosol", "WaterVapour"}
+        )
+    # (c) canny / CoastalAerosol cell values near the published ones
+    verdicts["canny CoastalAerosol PSNR within 3.0 dB of 13.2"] = (
+        abs(psnr_cells[("CoastalAerosol", "canny", tag)] - 13.2) <= 3.0
+    )
+    verdicts["canny CoastalAerosol SSIM within 0.15 of 0.8"] = (
+        abs(ssim_cells[("CoastalAerosol", "canny", tag)] - 0.8) <= 0.15
+    )
+    return verdicts
+
+
 @pytest.mark.skipif(
     not os.environ.get("COASTEDGE_SWED_MANIFEST"),
     reason="set COASTEDGE_SWED_MANIFEST to the satellite test-set manifest to run",
 )
 def test_criterion_5_satellite_corpus():
-    manifest = os.environ["COASTEDGE_SWED_MANIFEST"]
-    bands = [b.value for b in BandName]
     with criterion(5, "satellite corpus reproduction"):
-        result = run_experiment(
-            manifest, ExperimentSpec.for_kind("table1", worker_count=WORKERS)
-        )
-        ssim_cells = mean_psnr_by_band(result, metric="ssim")
-        psnr_cells = mean_psnr_by_band(result, metric="psnr")
-        tag = "eq=on,noise=gaussian"
+        verdicts = satellite_claims(os.environ["COASTEDGE_SWED_MANIFEST"])
+        failed = [claim for claim, held in verdicts.items() if not held]
+        assert not failed, failed
 
-        # (a) canny best SSIM everywhere; prewitt best PSNR with canny second
-        for band in bands:
-            canny_ssim = ssim_cells[(band, "canny", tag)]
-            assert all(
-                canny_ssim > ssim_cells[(band, algo, tag)]
-                for algo in ("sobel", "scharr", "prewitt")
-            )
-        prewitt_mean = statistics.fmean(psnr_cells[(b, "prewitt", tag)] for b in bands)
-        canny_mean = statistics.fmean(psnr_cells[(b, "canny", tag)] for b in bands)
-        others = [
-            statistics.fmean(psnr_cells[(b, algo, tag)] for b in bands)
-            for algo in ("sobel", "scharr")
-        ]
-        assert prewitt_mean > canny_mean > max(others)
 
-        # (b) CoastalAerosol and WaterVapour rank top-2 by SSIM per algorithm
-        for algo in ("canny", "sobel", "scharr", "prewitt"):
-            ranked = sorted(bands, key=lambda b: ssim_cells[(b, algo, tag)], reverse=True)
-            assert set(ranked[:2]) == {"CoastalAerosol", "WaterVapour"}
-
-        # (c) canny / CoastalAerosol cell values near the published ones
-        assert abs(psnr_cells[("CoastalAerosol", "canny", tag)] - 13.2) <= 3.0
-        assert abs(ssim_cells[("CoastalAerosol", "canny", tag)] - 0.8) <= 0.15
+def test_satellite_claims_are_computed_on_a_synthetic_corpus(tmp_path):
+    # runs criterion 5's code, which is skipped without the real corpus; the
+    # claims are about real chips, so whether one holds here is not checked
+    manifest = generate_corpus(2, SynthSpec(size=32, seed=5, noise_sigma=300.0), tmp_path)
+    verdicts = satellite_claims(manifest)
+    assert len(verdicts) == 8
+    assert all(type(held) is bool for held in verdicts.values())
 
 
 def test_criterion_6_worker_determinism(tmp_path):

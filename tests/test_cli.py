@@ -483,7 +483,7 @@ class TestEvaluate:
         assert "48 cell(s) failed in table1" in err
 
     def test_chip_without_rows_gives_shape_error_records(self, tmp_path, capsys):
-        # resampling an image of no rows to the label grid had nothing to index
+        # an image of no rows fails its layout check, before its grid meets the label's
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         empty_chip(corpus / "c_image.npy")
@@ -629,6 +629,39 @@ class TestDetectMatchesEvaluate:
             )
             assert code == 0
             assert stdout == ",".join(row[m] for m in ("rmse", "psnr", "ssim", "uqi")) + "\n", row
+
+
+class TestGridMismatch:
+    def test_both_commands_refuse_a_label_off_the_chip_grid(self, corpus_dir, tmp_path, capsys):
+        # one 32x32 chip and one 16x16 label: nothing is resampled, in either command
+        image = corpus_dir / "synth_000010_image.npy"
+        label = tmp_path / "label16.npy"
+        write_npy(np.repeat([[0] * 8 + [1] * 8], 16, axis=0).astype(np.uint8), label)
+        out = tmp_path / "edges.pgm"
+        code, stdout, err = run(
+            capsys, "detect", "--input", str(image), "--label", str(label),
+            "--band", "NIR", "--out", str(out),
+        )
+        assert code == 1 and stdout == ""
+        assert err == f"error: {label}: label shape (16, 16) != band shape (32, 32)\n"
+        assert not out.exists()
+
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(json.dumps({
+            "band_order": [b.value for b in BandName],
+            "images": [{"id": "c", "image": str(image), "label": str(label)}],
+        }))
+        reports = tmp_path / "r"
+        code, _, err = run(
+            capsys, "evaluate", "--manifest", str(manifest),
+            "--experiment", "all", "--out-dir", str(reports),
+        )
+        assert code == 3
+        assert "48 cell(s) failed in table1" in err
+        for kind, cells in (("table1", 48), ("equalization_ablation", 24), ("noise_ablation", 36)):
+            with open(reports / kind / "records.csv", newline="") as fh:
+                errors = [row["error"] for row in csv.DictReader(fh)]
+            assert errors == ["ShapeError: scene c: band shape (32, 32) != label shape (16, 16)"] * cells
 
 
 class TestReport:

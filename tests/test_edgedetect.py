@@ -17,7 +17,6 @@ from coastedge.edgedetect import (
     _hysteresis,
     _separable_gradients,
     canny,
-    canny_debug,
     detect,
     gradient_magnitude,
     magnitude_to_edgemap,
@@ -26,6 +25,7 @@ from coastedge.errors import ParamError
 from coastedge.preprocess import PreprocessSpec, blur_array, run_pipeline
 from coastedge.synth import SynthSpec, generate_scene
 
+from canny_steps import canny_debug
 from oracles import GRADIENT_KERNELS, convolve2d_loops, hysteresis_bfs, nms_loops
 
 SOBEL = KERNELS["sobel"]

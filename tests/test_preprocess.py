@@ -170,13 +170,13 @@ class TestWindowSums:
     @pytest.mark.parametrize("planes", [(), (1,), (6,), (12,)], ids=["2d", "1", "6", "12"])
     @pytest.mark.parametrize("k", range(2, 14))
     def test_byte_identical_to_loop_oracle(self, rng, planes, k):
-        # every size with at least two windows along the last axis (W == k
-        # is the documented exception), on real values, where order matters
+        # every size from one window along each axis (W == k too), on real
+        # values, where order matters
         kernels = [rng.random(k), np.ones(k)]
         if k % 2:
             kernels.append(gaussian_kernel_1d(k, rng.uniform(0.3, 3.0)))
         for h in range(k, k + 6):
-            for w in range(k + 1, k + 7):
+            for w in range(k, k + 7):
                 values = rng.normal(size=planes + (h, w)) * 100.0
                 for kernel in kernels:
                     want = window_sums_loops(values, kernel)
@@ -222,7 +222,7 @@ class TestWindowSums:
     @pytest.mark.parametrize("planes", [(), (3,)], ids=["2d", "3"])
     @pytest.mark.parametrize("k", [2, 5, 8])
     def test_window_as_long_as_the_plane_gives_one_window(self, rng, planes, k):
-        # integer sums are exact in any order, so W == k is compared exactly too
+        # one window along the rows, the columns or both
         for shape in ((k, k + 4), (k + 4, k), (k, k)):
             values = rng.integers(0, 256, size=planes + shape).astype(float)
             got = window_sums(values, np.ones(k))

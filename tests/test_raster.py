@@ -36,7 +36,6 @@ from coastedge.raster import (
     write_pgm,
 )
 
-from oracles import resample_nearest_loops
 
 CANONICAL_NAMES = [
     "CoastalAerosol", "Blue", "Green", "Red", "RedEdge1", "RedEdge2",
@@ -393,29 +392,11 @@ class TestLoadScene:
         with pytest.raises(BandCountError):
             load_scene(_write_pair(tmp_path, image, label))
 
-    def test_resamples_to_label_grid(self, tmp_path, rng):
+    def test_label_off_the_image_grid(self, tmp_path, rng):
         image = rng.integers(0, 100, size=(16, 16, 12)).astype(np.uint16)
-        label = rng.integers(0, 2, size=(8, 8)).astype(np.uint8)
-        scene = load_scene(_write_pair(tmp_path, image, label))
-        assert scene.stack.shape == (12, 8, 8)
-        # nearest-neighbor: no new intensity values, none from another band
-        for i in range(12):
-            assert set(np.unique(scene.stack[i])) <= set(np.unique(image[:, :, i]).astype(float))
-        # rows and columns 0, 2, 4, ... of the 16x16 grid
-        np.testing.assert_array_equal(scene.stack, np.moveaxis(image[::2, ::2], 2, 0))
-
-
-    @settings(
-        max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
-    )
-    @given(st.integers(1, 13), st.integers(1, 13), st.integers(3, 13), st.integers(3, 13), st.data())
-    def test_resampling_matches_loop_oracle(self, tmp_path, in_h, in_w, out_h, out_w, data):
-        # up-, down- and unchanged sampling on each axis, in every combination
-        image = data.draw(hnp.arrays(np.uint16, (in_h, in_w, 12)))
-        label = np.zeros((out_h, out_w), dtype=np.uint8)
-        scene = load_scene(_write_pair(tmp_path, image, label))
-        want = resample_nearest_loops(np.moveaxis(image, 2, 0), (out_h, out_w))
-        assert scene.stack.tobytes() == want.astype(np.float64).tobytes()
+        label = np.zeros((8, 8), dtype=np.uint8)
+        with pytest.raises(ShapeError, match=r"^scene chip: band shape \(16, 16\) != label shape \(8, 8\)$"):
+            load_scene(_write_pair(tmp_path, image, label))
 
 
 class TestManifest:
