@@ -190,14 +190,16 @@ def cmd_detect(args) -> int:
         raise ShapeError(f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}")
 
     def prepared_reference() -> PreparedReference:
-        return PreparedReference(derive_reference(label, canny_params), metric_params).built()
+        reference = PreparedReference(derive_reference(label, canny_params), metric_params)
+        reference.window_stats  # built on this thread too; a window fault is raised after the band's
+        return reference
 
     # The reference needs the label alone, so it is built on the second core
     # while this thread preprocesses, detects and writes the band. Errors show
     # in the serial order: the band's, then the output file's, then the
     # reference's.
     edges, reference = run_beside(prepared_reference, band_edges)
-    values = compute_all(edges, reference, metric_params)
+    values = compute_all(edges, reference)
     print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
     return EXIT_OK
 

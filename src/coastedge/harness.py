@@ -131,7 +131,7 @@ def run_cell(key: tuple, reference: PreparedReference, edges: np.ndarray) -> Met
     error field set, so one bad cell cannot abort a corpus run.
     """
     try:
-        values = compute_all(edges, reference, reference.params)
+        values = compute_all(edges, reference)
     except CoastEdgeError as exc:
         return _error_record(key, exc)
     return MetricRecord(*key, **values)
@@ -348,7 +348,7 @@ def format_mean_std(mean: float, std: float) -> str:
     """'13.2 ± 2' style: mean to 1 decimal, std to 1 significant figure."""
     if not math.isfinite(mean):
         return "n/a"
-    mean_s = f"{mean:.1f}"
+    mean_s = f"{round(mean, 1) + 0.0:.1f}"  # + 0.0 turns a -0.0 into 0.0
     if mean_s.endswith(".0"):
         mean_s = mean_s[:-2]
     if not math.isfinite(std) or std == 0:

@@ -13,16 +13,16 @@ from the uint8 map, and a*a and a*b are taken on it, so SSIM and UQI share
 the first step of every sum and keep its order. RMSE is taken in the
 original layout, where the pairwise order of its mean fixes its bits.
 
-`compute_all` scores a plane of at least `_THREAD_PIXELS` (160²) pixels on
-two threads: UQI on a second thread (`threads.run_beside`), SSIM on the
-caller's. numpy releases the GIL in its loops, so the two overlap. On a
-shared 2-vCPU host, serial against threaded took 0.7 / 1.2 ms a cell at
-64², 1.8 / 1.9 ms at 128², 2.1 / 2.1 ms at 144², 2.5 / 2.4 ms at 160² and
-6.7 / 5.0 ms at 256² (median of many interleaved calls), so smaller planes
-stay serial. `PreparedReference.built` builds both reference statistics
-first, SSIM's before UQI's: a window fault shows as in the serial order,
-and the threads only read them (`cached_property` takes no lock from
-Python 3.12). `detect --label` calls it too, on its reference thread.
+`compute_all`, the one scorer, scores a plane of at least `_THREAD_PIXELS`
+(160²) pixels on two threads: UQI on a second thread (`threads.run_beside`),
+SSIM on the caller's. numpy releases the GIL in its loops, so the two
+overlap. On a shared 2-vCPU host, serial against threaded took 0.7 / 1.2 ms
+a cell at 64², 1.8 / 1.9 ms at 128², 2.1 / 2.1 ms at 144², 2.5 / 2.4 ms at
+160² and 6.7 / 5.0 ms at 256² (median of many interleaved calls), so smaller
+planes stay serial. `PreparedReference.window_stats` builds both reference
+statistics first, SSIM's before UQI's: a window fault shows as in the serial
+order, and the threads only read them (`cached_property` takes no lock from
+Python 3.12). `detect --label` builds them on its reference thread.
 
 Neither thread writes what the other reads, so the bits are the serial
 ones. Each metric builds its index in place, in buffers it already holds:
@@ -88,17 +88,6 @@ def _psnr(err: float) -> float:
     return 20.0 * math.log10(255.0 / err)
 
 
-def rmse(a, b) -> float:
-    """Root mean square pixel error on the 0..255 scale; `b` may be a PreparedReference."""
-    a, ref = _prepared_pair(a, b, b.params if isinstance(b, PreparedReference) else MetricParams())
-    return _rmse(a, ref.values)
-
-
-def psnr(a, b) -> float:
-    """Peak signal-to-noise ratio in dB; +inf for identical images."""
-    return _psnr(rmse(a, b))
-
-
 def _check_window(shape: tuple, window: int, metric: str) -> None:
     if min(shape) < window:
         raise WindowError(f"image {shape} smaller than {metric} window {window}")
@@ -108,10 +97,13 @@ def _check_window(shape: tuple, window: int, metric: str) -> None:
 class PreparedReference:
     """A reference image with its window statistics, computed once for many candidates.
 
-    Each metric's statistics are computed on first use and then kept, so
-    scoring every edge map of a scene against one PreparedReference does
-    the reference-only work once. A reference scored by one metric only
-    never needs the other metric's window to fit.
+    The statistics are built on first use and then kept, so scoring every
+    edge map of a scene against one PreparedReference does the
+    reference-only work once. They stay lazy so that a window fault belongs
+    to each cell and comes after its own faults: `evaluate` prepares a
+    scene's reference before any band, and a cell's preprocessing and
+    detection run before it is scored, so a band fault wins over a window
+    fault there, as it does in `detect --label`.
     """
 
     values: np.ndarray  # 2D float64
@@ -120,43 +112,24 @@ class PreparedReference:
     def __post_init__(self):
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
-    def built(self) -> PreparedReference:
-        """This reference with both window statistics built, SSIM's first (see the module docstring)."""
-        self.ssim_stats, self.uqi_stats
-        return self
-
     @cached_property
-    def ssim_stats(self) -> tuple:
-        """Gaussian window weights, then mu_b, mu_b**2 and var_b per SSIM window."""
-        b, win = self.values, self.params.ssim_window
-        _check_window(b.shape, win, "SSIM")
-        weights = gaussian_kernel_1d(win, self.params.ssim_sigma)
+    def window_stats(self) -> tuple:
+        """SSIM's Gaussian weights, then mu_b, mu_b**2 and var_b per window; then UQI's
+        sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2 per window."""
+        b, params = self.values, self.params
+        _check_window(b.shape, params.ssim_window, "SSIM")
+        weights = gaussian_kernel_1d(params.ssim_window, params.ssim_sigma)
         mu = window_sums(b, weights)
         mu_sq = mu**2
-        return weights, mu, mu_sq, window_sums(b * b, weights) - mu_sq
+        ssim_stats = weights, mu, mu_sq, window_sums(b * b, weights) - mu_sq
 
-    @cached_property
-    def uqi_stats(self) -> tuple:
-        """Per UQI window: sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2."""
-        b, win = self.values, self.params.uqi_window
+        win = params.uqi_window
         _check_window(b.shape, win, "UQI")
         n, ones = win * win, np.ones(win)
         total, total_sq = window_sums(b, ones), window_sums(b * b, ones)
         mu = total / n
         mu_sq = mu**2
-        return total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total
-
-
-def _prepared_pair(a, b, params: MetricParams) -> tuple[np.ndarray, PreparedReference]:
-    """The candidate as an array of its own dtype and the reference prepared for `params`."""
-    a = np.asarray(a)
-    if not isinstance(b, PreparedReference):
-        b = PreparedReference(b, params)
-    elif b.params != params:
-        raise ParamError(f"reference prepared for {b.params}, scored with {params}")
-    if a.shape != b.values.shape:
-        raise ShapeError(f"image shapes differ: {a.shape} vs {b.values.shape}")
-    return a, b
+        return ssim_stats, (total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total)
 
 
 def _transposed_products(a: np.ndarray, ref: PreparedReference) -> list:
@@ -171,7 +144,7 @@ def _transposed_products(a: np.ndarray, ref: PreparedReference) -> list:
 
 
 def _ssim(products: list, ref: PreparedReference) -> float:
-    weights, mu_b, mu_b_sq, var_b = ref.ssim_stats
+    weights, mu_b, mu_b_sq, var_b = ref.window_stats[0]
     mu_a = transposed_window_sums(products.pop(0), weights)
     var_a = transposed_window_sums(products.pop(0), weights)
     var_a -= mu_a**2
@@ -201,7 +174,7 @@ def _ssim(products: list, ref: PreparedReference) -> float:
 
 
 def _uqi(products: list, ref: PreparedReference) -> float:
-    total_b, mu_b, mu_b_sq, var_b, spread_b = ref.uqi_stats
+    total_b, mu_b, mu_b_sq, var_b, spread_b = ref.window_stats[1]
     win = ref.params.uqi_window
     n, ones = win * win, np.ones(win)
     total_a = transposed_window_sums(products.pop(0), ones)
@@ -265,29 +238,6 @@ def _uqi(products: list, ref: PreparedReference) -> float:
     return float(np.clip(q.mean(), -1.0, 1.0))
 
 
-def ssim(a, b, params: MetricParams = MetricParams()) -> float:
-    """Mean structural similarity with a Gaussian-weighted sliding window.
-
-    Windows lie fully inside the image (no padding); stabilizers use the
-    standard K1=0.01, K2=0.03 on the 255 dynamic range. `b` may be a
-    PreparedReference for `params`.
-    """
-    a, ref = _prepared_pair(a, b, params)
-    return _ssim(_transposed_products(a, ref), ref)
-
-
-def uqi(a, b, params: MetricParams = MetricParams()) -> float:
-    """Universal image quality index over uniform sliding windows.
-
-    Fully degenerate windows (zero variance and zero means) are skipped;
-    zero-variance windows with differing means contribute 0. Identical flat
-    windows carry no information and are skipped as well. `b` may be a
-    PreparedReference for `params`.
-    """
-    a, ref = _prepared_pair(a, b, params)
-    return _uqi(_transposed_products(a, ref), ref)
-
-
 METRIC_NAMES = ("rmse", "psnr", "ssim", "uqi")
 
 # Planes of at least this many pixels are scored on two threads, SSIM on the
@@ -295,18 +245,32 @@ METRIC_NAMES = ("rmse", "psnr", "ssim", "uqi")
 _THREAD_PIXELS = 160 * 160
 
 
-def compute_all(a, b, params: MetricParams = MetricParams()) -> dict:
-    """All four metrics for one image pair; `b` may be a PreparedReference for `params`."""
-    a, ref = _prepared_pair(a, b, params)
-    err = _rmse(a, ref.values)
-    ref.built()
-    at, aat, abt = _transposed_products(a, ref)
+def compute_all(a, reference: PreparedReference) -> dict:
+    """RMSE, PSNR, SSIM and UQI of candidate `a` against `reference`, with its `params`.
+
+    Images are on the 0..255 scale and of one shape. RMSE is the root mean
+    square pixel error and PSNR is 20*log10(255 / RMSE) dB, +inf for
+    identical images. SSIM is the mean structural similarity over a
+    Gaussian-weighted sliding window, and UQI the mean universal quality
+    index over a uniform one. Windows lie fully inside the image (no
+    padding); SSIM's stabilizers use the standard K1=0.01, K2=0.03 on the
+    255 dynamic range. UQI skips a window flat in both images at one level
+    (it carries no information), scores 0 a window flat in both at differing
+    levels, and is 0 when every window is skipped. A window that does not
+    fit the image is a WindowError, SSIM's checked first.
+    """
+    a = np.asarray(a)
+    if a.shape != reference.values.shape:
+        raise ShapeError(f"image shapes differ: {a.shape} vs {reference.values.shape}")
+    err = _rmse(a, reference.values)
+    reference.window_stats  # built before any thread reads them
+    at, aat, abt = _transposed_products(a, reference)
     ssim_products, uqi_products = [at, aat, abt], [at, aat, abt]
     del at, aat, abt
     if a.size >= _THREAD_PIXELS:
         ssim_value, uqi_value = run_beside(
-            lambda: _uqi(uqi_products, ref), lambda: _ssim(ssim_products, ref)
+            lambda: _uqi(uqi_products, reference), lambda: _ssim(ssim_products, reference)
         )
     else:
-        ssim_value, uqi_value = _ssim(ssim_products, ref), _uqi(uqi_products, ref)
+        ssim_value, uqi_value = _ssim(ssim_products, reference), _uqi(uqi_products, reference)
     return {"rmse": err, "psnr": _psnr(err), "ssim": ssim_value, "uqi": uqi_value}

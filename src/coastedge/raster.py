@@ -244,7 +244,8 @@ def load_manifest(path) -> list[dict]:
     """Load a corpus manifest, returning entries with paths resolved.
 
     Manifest schema: {"band_order": [12 canonical names],
-    "images": [{"id", "image", "label"}, ...]}, paths relative to the file.
+    "images": [{"id", "image", "label"}, ...]}, paths relative to the file;
+    a manifest with no images is a CorpusError.
     """
     path = Path(path)
     try:
@@ -260,6 +261,8 @@ def load_manifest(path) -> list[dict]:
     images = doc.get("images")
     if not isinstance(images, list):
         raise CorpusError(f"manifest {path}: missing 'images' list")
+    if not images:
+        raise CorpusError(f"manifest {path}: 'images' is empty")
 
     base = path.parent
     entries = []

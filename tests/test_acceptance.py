@@ -18,7 +18,7 @@ import pytest
 
 from coastedge.edgedetect import KERNELS, CannyParams, _separable_gradients, derive_reference
 from coastedge.harness import ExperimentSpec, run_experiment
-from coastedge.metrics import psnr, rmse, ssim, uqi
+from coastedge.metrics import PreparedReference, compute_all
 from coastedge.preprocess import PreprocessSpec, run_pipeline
 from coastedge.raster import BandName, load_manifest, load_scene
 from coastedge.synth import SynthSpec, generate_corpus, generate_scene
@@ -58,10 +58,11 @@ def test_criterion_1_oracle_equivalence(rng):
             size = int(rng.integers(12, 33))
             a = rng.integers(0, 256, size=(size, size)).astype(float)
             b = rng.integers(0, 256, size=(size, size)).astype(float)
-            assert abs(rmse(a, b) - rmse_direct(a, b)) < 1e-9
-            assert abs(psnr(a, b) - psnr_direct(a, b)) < 1e-9
-            assert abs(ssim(a, b) - ssim_direct(a, b)) < 1e-6
-            assert abs(uqi(a, b) - uqi_direct(a, b)) < 1e-6
+            values = compute_all(a, PreparedReference(b))
+            assert abs(values["rmse"] - rmse_direct(a, b)) < 1e-9
+            assert abs(values["psnr"] - psnr_direct(a, b)) < 1e-9
+            assert abs(values["ssim"] - ssim_direct(a, b)) < 1e-6
+            assert abs(values["uqi"] - uqi_direct(a, b)) < 1e-6
         for _ in range(200):
             size = int(rng.integers(12, 33))
             image = np.abs(rng.normal(size=(size, size))) * 200

@@ -568,8 +568,12 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "data, message",
-        [(b"[1, 2]", "expected a JSON object"), (b"\xff\xfe\xfa", "not valid JSON")],
-        ids=["list", "not-utf8"],
+        [
+            (b"[1, 2]", "expected a JSON object"),
+            (b"\xff\xfe\xfa", "not valid JSON"),
+            (json.dumps({"band_order": [b.value for b in BandName], "images": []}).encode(), "'images' is empty"),
+        ],
+        ids=["list", "not-utf8", "empty"],
     )
     def test_malformed_manifest_is_io_error(self, tmp_path, capsys, data, message):
         manifest = tmp_path / "m.json"

@@ -417,6 +417,10 @@ class TestFormatting:
         assert format_mean_std(0.8123, 0.096) == "0.8 ± 0.1"
         assert format_mean_std(5.0, 0.0) == "5 ± 0"
         assert format_mean_std(math.inf, 1.0) == "n/a"
+        # a mean that rounds to zero prints 0, never -0
+        assert format_mean_std(-0.04, 0.01) == "0 ± 0.01"
+        assert format_mean_std(-0.0, 0.0) == "0 ± 0"
+        assert format_mean_std(-0.26, 0.01) == "-0.3 ± 0.01"
 
     def test_markdown_table_layout(self, small_corpus):
         result = run_experiment(small_corpus, ExperimentSpec.for_kind("table1"))

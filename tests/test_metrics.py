@@ -14,21 +14,21 @@ from coastedge import metrics
 from coastedge.edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from coastedge.errors import ParamError, ShapeError, WindowError
 from coastedge.harness import ExperimentSpec, aggregate_records, run_experiment
-from coastedge.metrics import (
-    MetricParams,
-    MetricRecord,
-    PreparedReference,
-    compute_all,
-    psnr,
-    rmse,
-    ssim,
-    uqi,
-)
+from coastedge.metrics import MetricParams, MetricRecord, PreparedReference, compute_all
 from coastedge.threads import run_beside
 from coastedge.preprocess import PreprocessSpec, run_pipeline, window_sums
 from coastedge.synth import SynthSpec, generate_corpus, generate_scene
 
 from oracles import rmse_direct, ssim_direct, uqi_direct
+
+
+def score(a, b, params=MetricParams()) -> dict:
+    """All four metrics of candidate `a` against reference `b` prepared for `params`."""
+    return compute_all(a, PreparedReference(b, params))
+
+
+# windows that fit an 8x8 image, for tests of RMSE and PSNR on one
+SMALL_WINDOWS = MetricParams(ssim_window=3, uqi_window=2)
 
 
 def random_pair(rng, size=32):
@@ -56,42 +56,42 @@ def step_pair(size=32):
 class TestRmse:
     def test_identical(self, rng):
         a, _ = random_pair(rng, 16)
-        assert rmse(a, a) == 0.0
+        assert score(a, a)["rmse"] == 0.0
 
     def test_maximal_constant(self):
         a = np.zeros((8, 8))
         b = np.full((8, 8), 255.0)
-        assert rmse(a, b) == 255.0
+        assert score(a, b, SMALL_WINDOWS)["rmse"] == 255.0
 
     def test_matches_oracle(self, rng):
         for _ in range(10):
             a, b = random_pair(rng, 16)
-            assert abs(rmse(a, b) - rmse_direct(a, b)) < 1e-9
+            assert abs(score(a, b)["rmse"] - rmse_direct(a, b)) < 1e-9
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            rmse(np.zeros((4, 4)), np.zeros((5, 5)))
+            score(np.zeros((4, 4)), np.zeros((5, 5)))
 
 
 class TestPsnr:
     def test_identical_is_infinite(self, rng):
         a, _ = random_pair(rng, 16)
-        assert psnr(a, a) == math.inf
+        assert score(a, a)["psnr"] == math.inf
 
     def test_full_scale_error_is_zero_db(self):
-        assert psnr(np.zeros((8, 8)), np.full((8, 8), 255.0)) == 0.0
+        assert score(np.zeros((8, 8)), np.full((8, 8), 255.0), SMALL_WINDOWS)["psnr"] == 0.0
 
     def test_unit_error_closed_form(self):
         a = np.full((8, 8), 100.0)
         b = np.full((8, 8), 101.0)
-        assert abs(psnr(a, b) - 20 * math.log10(255.0)) < 1e-12
+        assert abs(score(a, b, SMALL_WINDOWS)["psnr"] - 20 * math.log10(255.0)) < 1e-12
 
     def test_monotone_in_rmse(self, rng):
         a = rng.integers(0, 200, size=(16, 16)).astype(float)
         noise = rng.normal(size=(16, 16))
         previous = math.inf
         for scale in (1.0, 2.0, 4.0, 8.0):
-            value = psnr(a, a + noise * scale)
+            value = score(a, a + noise * scale)["psnr"]
             assert value < previous
             previous = value
 
@@ -99,58 +99,60 @@ class TestPsnr:
 class TestSsim:
     def test_identical_is_one(self, rng):
         a, _ = random_pair(rng)
-        assert ssim(a, a) == 1.0
+        assert score(a, a)["ssim"] == 1.0
 
     def test_negated_high_variance_is_negative(self, rng):
         a = np.where(rng.random((32, 32)) < 0.5, 0.0, 255.0)
-        assert ssim(a, 255.0 - a) < -0.5
+        assert score(a, 255.0 - a)["ssim"] < -0.5
 
     def test_matches_oracle(self, rng):
         for _ in range(5):
             a, b = random_pair(rng)
-            assert abs(ssim(a, b) - ssim_direct(a, b)) < 1e-6
+            assert abs(score(a, b)["ssim"] - ssim_direct(a, b)) < 1e-6
 
     @pytest.mark.parametrize("window", (5, 7, 9))
     def test_matches_oracle_other_windows(self, rng, window):
         params = MetricParams(ssim_window=window, ssim_sigma=1.2)
         for a, b in (random_pair(rng), sparse_edge_pair(rng), step_pair()):
-            assert abs(ssim(a, b, params) - ssim_direct(a, b, window, 1.2)) < 1e-6
+            assert abs(score(a, b, params)["ssim"] - ssim_direct(a, b, window, 1.2)) < 1e-6
 
     def test_window_error(self):
-        with pytest.raises(WindowError):
-            ssim(np.zeros((8, 8)), np.zeros((8, 8)))
+        # UQI's default window of 8 fits
+        with pytest.raises(WindowError, match="SSIM window 11"):
+            score(np.zeros((8, 8)), np.zeros((8, 8)))
 
 
 class TestUqi:
     def test_identical_nonconstant_is_one(self, rng):
         a, _ = random_pair(rng)
-        assert abs(uqi(a, a) - 1.0) < 1e-12
+        assert abs(score(a, a)["uqi"] - 1.0) < 1e-12
 
     def test_distinct_constants_zero(self):
         a = np.full((16, 16), 10.0)
         b = np.full((16, 16), 20.0)
-        assert uqi(a, b) == 0.0
+        assert score(a, b)["uqi"] == 0.0
 
     def test_matches_oracle(self, rng):
         for _ in range(5):
             a, b = random_pair(rng)
-            assert abs(uqi(a, b) - uqi_direct(a, b)) < 1e-6
+            assert abs(score(a, b)["uqi"] - uqi_direct(a, b)) < 1e-6
 
     @pytest.mark.parametrize("window", (5, 7, 9))
     def test_matches_oracle_other_windows(self, rng, window):
         params = MetricParams(uqi_window=window)
         for a, b in (random_pair(rng), sparse_edge_pair(rng), step_pair()):
-            assert abs(uqi(a, b, params) - uqi_direct(a, b, window)) < 1e-6
+            assert abs(score(a, b, params)["uqi"] - uqi_direct(a, b, window)) < 1e-6
 
     def test_shifted_step_at_window_7(self):
         # 1/49-weighted float sums once made flat windows look non-flat here
         # (0.7635); the definition gives 0.4594 (exact rational arithmetic)
         a, b = step_pair()
-        assert abs(uqi(a, b, MetricParams(uqi_window=7)) - 0.459373876822897) < 1e-12
+        assert abs(score(a, b, MetricParams(uqi_window=7))["uqi"] - 0.459373876822897) < 1e-12
 
     def test_window_error(self):
-        with pytest.raises(WindowError):
-            uqi(np.zeros((4, 4)), np.zeros((4, 4)))
+        # an SSIM window of 3 fits
+        with pytest.raises(WindowError, match="UQI window 8"):
+            score(np.zeros((4, 4)), np.zeros((4, 4)), MetricParams(ssim_window=3))
 
 
 def uqi_always_masked(a, b, window):
@@ -181,14 +183,15 @@ def flat_halves_pair(rng, size=32):
 
 
 class TestWidthEqualsSsimWindow:
-    """The planned numeric change of the shared window-sum kernel.
+    """A planned numeric change of the shared window-sum kernel.
 
     When a chip is exactly one SSIM window wide, the second pass of
-    `window_sums` has one output per row, and there einsum sums in an order
-    of its own; the earlier matmul/einsum sums took another. SSIM may move
-    in the last bits, within 1e-13 absolute (SSIM lies in [-1, 1]; near 0
-    a relative bound would not hold). UQI (exact integer sums) and RMSE do
-    not move.
+    `window_sums` has one output per row. The earlier matmul/einsum sums
+    added its taps in an order of their own; `window_sums` now adds them in
+    kernel order there too, as at every other width. SSIM may differ from
+    the earlier values in the last bits, within 1e-13 absolute (SSIM lies
+    in [-1, 1]; near 0 a relative bound would not hold). UQI (exact integer
+    sums) and RMSE do not move.
     """
 
     # seed, SSIM window and sigma, height, UQI window, then the SSIM, UQI and
@@ -206,7 +209,7 @@ class TestWidthEqualsSsimWindow:
         rng = np.random.default_rng(seed)
         a = np.where(rng.random((height, window)) < 0.3, 255.0, 0.0)
         b = np.where(rng.random((height, window)) < 0.3, 255.0, 0.0)
-        values = compute_all(a, b, MetricParams(window, sigma, uqi_window))
+        values = score(a, b, MetricParams(window, sigma, uqi_window))
         ssim_, uqi_, rmse_ = earlier
         assert abs(values["ssim"] - ssim_) <= 1e-13
         assert values["uqi"] == uqi_
@@ -227,7 +230,7 @@ class TestUqiFastPath:
             (np.zeros((16, 16)), np.zeros((16, 16))),
         ]
         for a, b in pairs:
-            assert uqi(a, b, params) == uqi_always_masked(a, b, window)
+            assert score(a, b, params)["uqi"] == uqi_always_masked(a, b, window)
 
 
 @st.composite
@@ -253,11 +256,12 @@ class TestOracleProperties:
     def test_ssim_and_uqi_match_oracles(self, case):
         params, a, b = case
         want_ssim = ssim_direct(a, b, params.ssim_window, params.ssim_sigma)
-        assert abs(ssim(a, b, params) - want_ssim) < 1e-6
-        assert abs(uqi(a, b, params) - uqi_direct(a, b, params.uqi_window)) < 1e-6
+        values = score(a, b, params)
+        assert abs(values["ssim"] - want_ssim) < 1e-6
+        assert abs(values["uqi"] - uqi_direct(a, b, params.uqi_window)) < 1e-6
 
 
-# uqi(a, b) is 0.35999999999999993 and uqi(b, a) is 0.36: one window, 1 ulp apart
+# UQI of a against b is 0.35999999999999993 and of b against a 0.36: one window, 1 ulp apart
 UQI_ASYMMETRIC = (
     MetricParams(ssim_window=3, uqi_window=3),
     np.diag([0.0, 0.0, 1.0]),
@@ -279,8 +283,8 @@ class TestSymmetryProperties:
     def test_ssim_symmetric_bit_for_bit_and_bounded(self, case):
         # every term is a commutative product or sum of the two images' stats
         params, a, b = case
-        value = ssim(a, b, params)
-        assert ssim(b, a, params) == value
+        value = score(a, b, params)["ssim"]
+        assert score(b, a, params)["ssim"] == value
         assert -1.0 <= value <= 1.0
 
     @settings(max_examples=150, deadline=None)
@@ -292,8 +296,8 @@ class TestSymmetryProperties:
         # images swaps the last two factors and can move each window's index
         # by a rounding; the mean then moves by at most a few ulps of 1
         params, a, b = case
-        value = uqi(a, b, params)
-        assert abs(uqi(b, a, params) - value) <= 4 * np.finfo(np.float64).eps
+        value = score(a, b, params)["uqi"]
+        assert abs(score(b, a, params)["uqi"] - value) <= 4 * np.finfo(np.float64).eps
         assert -1.0 <= value <= 1.0
 
 
@@ -301,14 +305,15 @@ class TestSymmetry:
     def test_all_metrics_symmetric(self, rng):
         for _ in range(5):
             a, b = random_pair(rng)
-            assert rmse(a, b) == rmse(b, a)
-            assert psnr(a, b) == psnr(b, a)
-            assert abs(ssim(a, b) - ssim(b, a)) < 1e-12
-            assert abs(uqi(a, b) - uqi(b, a)) < 1e-12
+            forward, backward = score(a, b), score(b, a)
+            assert forward["rmse"] == backward["rmse"]
+            assert forward["psnr"] == backward["psnr"]
+            assert abs(forward["ssim"] - backward["ssim"]) < 1e-12
+            assert abs(forward["uqi"] - backward["uqi"]) < 1e-12
 
     def test_compute_all_keys(self, rng):
         a, b = random_pair(rng)
-        assert set(compute_all(a, b)) == {"rmse", "psnr", "ssim", "uqi"}
+        assert set(score(a, b)) == {"rmse", "psnr", "ssim", "uqi"}
 
 
 class TestMetricParams:
@@ -334,40 +339,26 @@ class TestMetricParams:
     def test_smallest_valid_windows(self, rng):
         params = MetricParams(ssim_window=3, ssim_sigma=0.1, uqi_window=2)
         a, b = random_pair(rng)
-        values = compute_all(a, b, params)
+        values = score(a, b, params)
         assert all(math.isfinite(values[m]) for m in ("rmse", "ssim", "uqi"))
 
 
 class TestPreparedReference:
-    def test_same_values_as_raw_reference(self, rng):
-        params = MetricParams(ssim_window=7, uqi_window=5)
-        a, b = sparse_edge_pair(rng)
-        prepared = PreparedReference(b, params)
-        for candidate in (a, random_pair(rng)[0], b):
-            assert compute_all(candidate, prepared, params) == compute_all(candidate, b, params)
-            assert ssim(candidate, prepared, params) == ssim(candidate, b, params)
-            assert uqi(candidate, prepared, params) == uqi(candidate, b, params)
-            assert rmse(candidate, prepared) == rmse(candidate, b)
-
-    def test_other_params_rejected(self, rng):
-        a, b = random_pair(rng)
-        with pytest.raises(ParamError):
-            compute_all(a, PreparedReference(b, MetricParams(uqi_window=5)))
-
     def test_shape_mismatch(self, rng):
         with pytest.raises(ShapeError):
             compute_all(np.zeros((16, 16)), PreparedReference(np.zeros((20, 20))))
 
-    def test_each_metric_checks_only_its_window(self):
-        params = MetricParams(ssim_window=5, uqi_window=9)
-        prepared = PreparedReference(np.zeros((6, 6)), params)
-        assert ssim(np.zeros((6, 6)), prepared, params) == 1.0
-        with pytest.raises(WindowError, match="UQI window 9"):
-            uqi(np.zeros((6, 6)), prepared, params)
 
+@pytest.fixture()
+def serial(monkeypatch):
+    """`score` with every plane below the two-thread threshold: the serial bits to compare with."""
 
-def one_at_a_time(a, b, params=MetricParams()) -> dict:
-    return {"rmse": rmse(a, b), "psnr": psnr(a, b), "ssim": ssim(a, b, params), "uqi": uqi(a, b, params)}
+    def scored(a, b, params=MetricParams()) -> dict:
+        with monkeypatch.context() as patch:
+            patch.setattr(metrics, "_THREAD_PIXELS", np.asarray(a).size + 1)
+            return score(a, b, params)
+
+    return scored
 
 
 def bits(values: dict) -> dict:
@@ -403,12 +394,12 @@ def beside_calls(monkeypatch):
 class TestTwoThreads:
     """`compute_all` scores large planes' SSIM and UQI on two threads, with the serial bits and errors."""
 
-    def test_scene_cells_equal_one_metric_at_a_time(self, scene256_cells, beside_calls):
+    def test_scene_cells_equal_serial(self, scene256_cells, beside_calls, serial):
         cells, reference = scene256_cells
         prepared = PreparedReference(reference)
         for band, algorithm, edges in cells:
             got = compute_all(edges, prepared)
-            assert bits(got) == bits(one_at_a_time(edges, reference)), (band, algorithm)
+            assert bits(got) == bits(serial(edges, reference)), (band, algorithm)
         assert len(beside_calls) == len(cells) == 48
 
     @pytest.mark.parametrize(
@@ -416,14 +407,14 @@ class TestTwoThreads:
         [((159, 161), False), ((160, 160), True), ((128, 256), True)],
         ids=["just_below", "at", "above"],
     )
-    def test_threshold(self, rng, beside_calls, shape, threaded):
+    def test_threshold(self, rng, beside_calls, serial, shape, threaded):
         assert (math.prod(shape) >= metrics._THREAD_PIXELS) == threaded
         a = np.where(rng.random(shape) < 0.1, 255, 0).astype(np.uint8)
         b = np.where(rng.random(shape) < 0.1, 255.0, 0.0)
-        assert bits(compute_all(a, b)) == bits(one_at_a_time(a, b))
+        assert bits(score(a, b)) == bits(serial(a, b))
         assert len(beside_calls) == threaded
 
-    def test_canny_map_where_uqi_compacts(self, scene256_cells, beside_calls):
+    def test_canny_map_where_uqi_compacts(self, scene256_cells, beside_calls, serial):
         # most UQI windows of a Canny map are flat and equal in both maps and
         # skipped; the rest are gathered and scored
         cells, reference = scene256_cells
@@ -434,34 +425,34 @@ class TestTwoThreads:
         spreads = [win * win * window_sums(x * x, ones) - window_sums(x, ones) ** 2 for x in (a, b)]
         skip = (spreads[0] + spreads[1] <= 0) & (window_sums(a, ones) == window_sums(b, ones))
         assert skip.any() and not skip.all()
-        assert bits(compute_all(edges, PreparedReference(reference))) == bits(one_at_a_time(edges, reference))
+        assert bits(score(edges, reference)) == bits(serial(edges, reference))
         assert len(beside_calls) == 1
 
-    def test_real_valued_pair(self, rng, beside_calls):
+    def test_real_valued_pair(self, rng, beside_calls, serial):
         a = rng.normal(100.0, 40.0, (256, 256))
         b = rng.normal(100.0, 40.0, (256, 256))
         for params in (MetricParams(), MetricParams(ssim_window=7, ssim_sigma=1.0, uqi_window=5)):
-            assert bits(compute_all(a, b, params)) == bits(one_at_a_time(a, b, params))
+            assert bits(score(a, b, params)) == bits(serial(a, b, params))
         assert len(beside_calls) == 2
 
-    def test_concurrent_callers_share_one_reference(self, scene256_cells, beside_calls):
+    def test_concurrent_callers_share_one_reference(self, scene256_cells, beside_calls, serial):
         # three callers on two cores, each scoring on two threads, race on one
         # reference's statistics with a short switch interval: every cell keeps
         # its serial bits
         cells, reference = scene256_cells
         cells = cells[:6]
-        expected = [bits(one_at_a_time(edges, reference)) for _, _, edges in cells]
+        expected = [bits(serial(edges, reference)) for _, _, edges in cells]
         prepared = PreparedReference(reference)
         got = {}
 
-        def score(worker):
+        def score_cells(worker):
             for i in range(worker, len(cells), 3):
                 got[i] = bits(compute_all(cells[i][2], prepared))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            workers = [threading.Thread(target=score, args=(w,)) for w in range(3)]
+            workers = [threading.Thread(target=score_cells, args=(w,)) for w in range(3)]
             for worker in workers:
                 worker.start()
             for worker in workers:
@@ -475,11 +466,11 @@ class TestTwoThreads:
     def test_ssim_window_fault_wins(self, beside_calls):
         params = MetricParams(ssim_window=257, uqi_window=257)
         with pytest.raises(WindowError, match="SSIM window 257"):
-            compute_all(np.zeros((256, 256)), np.zeros((256, 256)), params)
+            score(np.zeros((256, 256)), np.zeros((256, 256)), params)
 
     def test_uqi_window_fault_alone(self, beside_calls):
         with pytest.raises(WindowError, match="UQI window 257"):
-            compute_all(np.zeros((256, 256)), np.zeros((256, 256)), MetricParams(uqi_window=257))
+            score(np.zeros((256, 256)), np.zeros((256, 256)), MetricParams(uqi_window=257))
 
     def test_bug_in_second_thread_escapes_compute_all(self, rng, monkeypatch, beside_calls):
         def broken_uqi(products, ref):
@@ -488,7 +479,7 @@ class TestTwoThreads:
         monkeypatch.setattr(metrics, "_uqi", broken_uqi)
         a, b = random_pair(rng, 256)
         with pytest.raises(RuntimeError, match="bug in _uqi"):
-            compute_all(a, b)
+            score(a, b)
         assert len(beside_calls) == 1
 
     def test_bug_in_second_thread_escapes_run_experiment(self, tmp_path, monkeypatch, beside_calls):

@@ -413,6 +413,12 @@ class TestManifest:
         with pytest.raises(CorpusError):
             load_manifest(path)
 
+    def test_empty_image_list(self, tmp_path):
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps({"band_order": CANONICAL_NAMES, "images": []}))
+        with pytest.raises(CorpusError, match=r"manifest .*m\.json: 'images' is empty"):
+            load_manifest(path)
+
     def test_malformed_entry(self, tmp_path):
         path = tmp_path / "m.json"
         for entry in (
