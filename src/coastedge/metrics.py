@@ -7,20 +7,36 @@ golden records are pinned to the bits of that order, so keep it. UQI's sums
 are exact integers on integer-valued images (every edge map), whatever the
 order; SSIM's are not.
 
+Every window sum with the reference b as a factor (of b, b*b and a*b) is
+taken on `PreparedReference.box` alone, the crop that holds every window
+with a nonzero sample of b, and written into zeros; this keeps every bit.
+The kernel adds each output's taps to +0 one after another. A tap on a zero
+sample adds w*0 = +-0, and x + (+-0) = x for every partial sum it can hold
+(the sum starts at +0, and only -0 + -0 gives -0). So a sum's bits depend
+only on its nonzero taps, in kernel order: a window outside the box sums to
++0 as it does on the whole plane, and a window inside it adds the same taps
+from the crop in the same order. Reference coastlines are thin: on a 256²
+sinusoid chip the box covers 24% of the plane, on a 256² blob 57%. The one
+result this changes is that of a candidate with a non-finite sample outside
+the box, whose a*b there was NaN; edge maps are uint8, and `compute_all`
+takes 0..255 images.
+
 A scored candidate `a` enters the window sums through
 `preprocess.transposed_window_sums`: its transpose is built once, straight
-from the uint8 map, and a*a and a*b are taken on it, so SSIM and UQI share
-the first step of every sum and keep its order. RMSE is taken in the
-original layout, where the pairwise order of its mean fixes its bits.
+from the uint8 map, and a*a and (on the box's crop) a*b are taken on it, so
+SSIM and UQI share the first step of every sum and keep its order. RMSE is
+taken in the original layout, where the pairwise order of its mean fixes
+its bits.
 
 `compute_all`, the one scorer, scores a plane of at least `_THREAD_PIXELS`
 (160²) pixels on two threads: UQI on a second thread (`threads.run_beside`),
 SSIM on the caller's. numpy releases the GIL in its loops, so the two
-overlap. On a shared 2-vCPU host, serial against threaded took 0.7 / 1.2 ms
-a cell at 64², 1.8 / 1.9 ms at 128², 2.1 / 2.1 ms at 144², 2.5 / 2.4 ms at
-160² and 6.7 / 5.0 ms at 256² (median of many interleaved calls), so smaller
-planes stay serial. `PreparedReference.window_stats` builds both reference
-statistics first, SSIM's before UQI's: a window fault shows as in the serial
+overlap. On a shared 2-vCPU host, serial against threaded took 0.6 / 1.4 ms
+a cell at 64², 1.5-1.7 / 1.6-2.0 ms at 128², 2.1-2.2 / 2.2-2.3 ms at 144²,
+2.4-2.6 / 2.4 ms at 160² and 5.8-6.0 / 4.6 ms at 256² (2026-10-21, medians
+of 60 interleaved rounds, two runs), so smaller planes stay serial.
+`PreparedReference.window_stats` builds its `box`, then both reference
+statistics, SSIM's before UQI's: a window fault shows as in the serial
 order, and the threads only read them (`cached_property` takes no lock from
 Python 3.12). `detect --label` builds them on its reference thread.
 
@@ -42,7 +58,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ParamError, ShapeError, WindowError
-from .preprocess import check_sigma, gaussian_kernel_1d, transposed_window_sums, window_sums
+from .preprocess import check_sigma, gaussian_kernel_1d, transposed_window_sums
 from .threads import run_beside
 
 
@@ -113,29 +129,72 @@ class PreparedReference:
         object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
 
     @cached_property
+    def box(self) -> tuple | None:
+        """(rows, cols, transposed): the crop of the plane that holds every window
+        with a nonzero sample, and the crop's C-ordered float64 transpose.
+
+        The crop is the bounding box of the nonzero samples (a NaN counts as
+        one), widened on each side by the larger window less one and clamped
+        to the plane, so it is at least as long as either window wherever
+        that window fits the plane. None when every sample is zero.
+        """
+        b = self.values
+        nonzero = b != 0
+        rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+        if rows.size == 0:
+            return None
+        margin = max(self.params.ssim_window, self.params.uqi_window) - 1
+        height, width = b.shape
+        rows = slice(max(int(rows[0]) - margin, 0), min(int(rows[-1]) + 1 + margin, height))
+        cols = slice(max(int(cols[0]) - margin, 0), min(int(cols[-1]) + 1 + margin, width))
+        return rows, cols, np.ascontiguousarray(b[rows, cols].T)
+
+    @cached_property
     def window_stats(self) -> tuple:
         """SSIM's Gaussian weights, then mu_b, mu_b**2 and var_b per window; then UQI's
         sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2 per window."""
         b, params = self.values, self.params
         _check_window(b.shape, params.ssim_window, "SSIM")
+        box = self.box
+        bt = None if box is None else box[2]
+        bbt = None if box is None else bt * bt
         weights = gaussian_kernel_1d(params.ssim_window, params.ssim_sigma)
-        mu = window_sums(b, weights)
+        mu = _box_window_sums(bt, weights, self)
         mu_sq = mu**2
-        ssim_stats = weights, mu, mu_sq, window_sums(b * b, weights) - mu_sq
+        ssim_stats = weights, mu, mu_sq, _box_window_sums(bbt, weights, self) - mu_sq
 
         win = params.uqi_window
         _check_window(b.shape, win, "UQI")
         n, ones = win * win, np.ones(win)
-        total, total_sq = window_sums(b, ones), window_sums(b * b, ones)
+        total, total_sq = _box_window_sums(bt, ones, self), _box_window_sums(bbt, ones, self)
         mu = total / n
         mu_sq = mu**2
         return ssim_stats, (total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total)
 
 
+def _box_window_sums(transposed, kernel: np.ndarray, ref: PreparedReference) -> np.ndarray:
+    """`window_sums` of a plane that is 0 outside `ref.box`, from the crop's C-ordered
+    transpose (None when there is no box), with the whole plane's bits (see above)."""
+    k = len(kernel)
+    height, width = ref.values.shape
+    shape = (height - k + 1, width - k + 1)
+    if transposed is None:
+        return np.zeros(shape)
+    sums = transposed_window_sums(transposed, kernel)
+    if sums.shape == shape:
+        return sums
+    rows, cols, _ = ref.box
+    out = np.zeros(shape)
+    out[rows.start : rows.stop - k + 1, cols.start : cols.stop - k + 1] = sums
+    return out
+
+
 def _transposed_products(a: np.ndarray, ref: PreparedReference) -> list:
-    """a, a*a and a*b as C-ordered float64 transposes, for `transposed_window_sums`."""
+    """a, a*a and a*b as C-ordered float64 transposes; a*b on `ref.box`'s crop only."""
     at = np.array(a.swapaxes(-1, -2), dtype=np.float64, order="C")
-    return [at, at * at, at * ref.values.swapaxes(-1, -2)]
+    box = ref.box
+    abt = None if box is None else at[box[1], box[0]] * box[2]
+    return [at, at * at, abt]
 
 
 # Each metric pops a product from its own list as it sums it, so a product is
@@ -148,7 +207,7 @@ def _ssim(products: list, ref: PreparedReference) -> float:
     mu_a = transposed_window_sums(products.pop(0), weights)
     var_a = transposed_window_sums(products.pop(0), weights)
     var_a -= mu_a**2
-    cov = transposed_window_sums(products.pop(0), weights)
+    cov = _box_window_sums(products.pop(0), weights, ref)
     cov -= mu_a * mu_b
 
     c1 = (0.01 * 255.0) ** 2
@@ -211,7 +270,7 @@ def _uqi(products: list, ref: PreparedReference) -> float:
     var_a /= n
     var_a -= mu_a**2
     del total_a, total_aa
-    cov = transposed_window_sums(products.pop(0), ones)
+    cov = _box_window_sums(products.pop(0), ones, ref)
     if keep is not None:
         cov = cov.ravel()[keep]
     cov /= n
@@ -257,7 +316,10 @@ def compute_all(a, reference: PreparedReference) -> dict:
     255 dynamic range. UQI skips a window flat in both images at one level
     (it carries no information), scores 0 a window flat in both at differing
     levels, and is 0 when every window is skipped. A window that does not
-    fit the image is a WindowError, SSIM's checked first.
+    fit the image is a WindowError, SSIM's checked first. SSIM's and UQI's
+    sums of a*b are taken on the reference's box alone (see the module
+    docstring), so a non-finite sample of `a` outside it, which is no 0..255
+    value, does not turn them into NaN.
     """
     a = np.asarray(a)
     if a.shape != reference.values.shape:

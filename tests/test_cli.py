@@ -20,9 +20,9 @@ import coastedge
 from coastedge import cli
 from coastedge.cli import _canny_params, _metric_params, _preprocess_spec, build_parser, main
 from coastedge.edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
-from coastedge.metrics import MetricParams
+from coastedge.metrics import MetricParams, PreparedReference
 from coastedge.preprocess import PreprocessSpec, run_pipeline
-from coastedge.raster import BandName, read_band, read_npy, write_npy
+from coastedge.raster import BandName, LabelMask, read_band, read_npy, write_npy
 
 
 def run(capsys, *argv):
@@ -615,12 +615,60 @@ class TestEvaluate:
         assert (tmp_path / "report" / "table1.md").read_text(encoding="utf-8") == expected
 
 
+def water_everywhere(shape):
+    return np.ones(shape, np.uint8)
+
+
+def water_in_last_column(shape):
+    label = np.zeros(shape, np.uint8)
+    label[:, -1] = 1
+    return label
+
+
+def water_in_one_corner(shape):
+    label = np.zeros(shape, np.uint8)
+    label[-1, -1] = 1
+    return label
+
+
+# each label with the rows and columns of its 32x32 reference's coastline box:
+# none, one clamped at the last column, and one pixel's (11x11, each side
+# clamped or widened by 10)
+LABELS = {
+    "all_water": (water_everywhere, None),
+    "last_column": (water_in_last_column, (slice(0, 32), slice(20, 32))),
+    "corner_pixel": (water_in_one_corner, (slice(21, 32), slice(21, 32))),
+}
+
+
+@pytest.fixture(scope="module", params=[None, *LABELS.values()], ids=["corpus", *LABELS])
+def labelled_table1(request, evaluated, tmp_path_factory):
+    """(corpus directory, table1 records) of `evaluate` on the corpus with its own labels or the given ones."""
+    corpus = evaluated.parent / "corpus"
+    if request.param is None:
+        return corpus, evaluated / "table1" / "records.csv"
+    make_label, box = request.param
+    base = tmp_path_factory.mktemp(make_label.__name__)
+    shutil.copytree(corpus, base / "corpus")
+    for label in (base / "corpus").glob("*_label.npy"):
+        values = make_label(read_npy(label).shape)
+        reference = PreparedReference(derive_reference(LabelMask(values)))
+        assert (reference.box and reference.box[:2]) == box
+        write_npy(values, label)
+    assert main([
+        "evaluate", "--manifest", str(base / "corpus" / "manifest.json"),
+        "--experiment", "table1", "--out-dir", str(base / "out"),
+    ]) == 0
+    return base / "corpus", base / "out" / "records.csv"
+
+
 class TestDetectMatchesEvaluate:
-    def test_metrics_line_is_the_table1_record(self, evaluated, tmp_path, capsys):
+    def test_metrics_line_is_the_table1_record(self, labelled_table1, tmp_path, capsys):
         # `detect --label` and `evaluate` score one cell alike: same reader,
-        # same reference, same digits
-        corpus = evaluated.parent / "corpus"
-        with open(evaluated / "table1" / "records.csv", newline="") as fh:
+        # same reference, same digits; also where the reference's coastline
+        # box is empty, clamped at the border or narrower than both windows
+        corpus, records = labelled_table1
+        with open(records, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == 2 * 12 * len(ALGORITHMS)
         for row in rows:

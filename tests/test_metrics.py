@@ -493,6 +493,84 @@ class TestTwoThreads:
         assert len(beside_calls) == 1
 
 
+def whole_plane_box(self):
+    """`PreparedReference.box` as the whole plane: every sum with b as a factor taken on all of it."""
+    return slice(0, self.values.shape[0]), slice(0, self.values.shape[1]), np.ascontiguousarray(self.values.T)
+
+
+def coastline(shape, where) -> np.ndarray:
+    """A 0/255 reference whose nonzero samples lie at `where` (an index into the plane)."""
+    b = np.zeros(shape)
+    b[where] = 255.0
+    return b
+
+
+BOX_REFERENCES = {
+    "all_zero": (slice(0, 0),),
+    "top_left": (0, 0),
+    "top_right": (0, -1),
+    "bottom_left": (-1, 0),
+    "bottom_right": (-1, -1),
+    "first_row": (0,),
+    "last_row": (-1,),
+    "first_column": (slice(None), 0),
+    "last_column": (slice(None), -1),
+    "narrower_than_windows": (slice(20, 23), slice(30, 32)),
+    "full_plane": ([0, -1, 25], [0, -1, 10]),
+}
+
+
+class TestReferenceBox:
+    """Sums with the reference as a factor, taken on its box alone, keep the whole plane's bits."""
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("where", BOX_REFERENCES.values(), ids=BOX_REFERENCES.keys())
+    @pytest.mark.parametrize(
+        "params",
+        [MetricParams(), MetricParams(ssim_window=5, ssim_sigma=0.8, uqi_window=12)],
+        ids=["default", "wide_uqi"],
+    )
+    def test_same_bits_as_the_whole_plane(self, rng, monkeypatch, where, threaded, params):
+        monkeypatch.setattr(metrics, "_THREAD_PIXELS", 0 if threaded else math.inf)
+        b = coastline((48, 61), where)
+        candidates = [
+            np.where(rng.random(b.shape) < 0.1, 255, 0).astype(np.uint8),
+            rng.integers(0, 256, b.shape).astype(np.uint8),
+            b.astype(np.uint8),
+        ]
+        box = PreparedReference(b, params).box
+        if not b.any():
+            assert box is None
+        else:
+            margin = max(params.ssim_window, params.uqi_window) - 1
+            rows, cols, _ = box
+            assert (rows.stop - rows.start, cols.stop - cols.start) != b.shape or where is BOX_REFERENCES["full_plane"]
+            assert min(rows.stop - rows.start, cols.stop - cols.start) >= margin + 1
+        got = [bits(compute_all(a, PreparedReference(b, params))) for a in candidates]
+        monkeypatch.setattr(PreparedReference, "box", property(whole_plane_box))
+        assert got == [bits(compute_all(a, PreparedReference(b, params))) for a in candidates]
+
+    def test_scene_cells(self, scene256_cells, monkeypatch):
+        cells, reference = scene256_cells
+        rows, cols, _ = PreparedReference(reference).box
+        assert (rows.stop - rows.start) * (cols.stop - cols.start) < reference.size / 2
+        got = {}
+        for box in ("crop", "whole_plane"):
+            if box == "whole_plane":
+                monkeypatch.setattr(PreparedReference, "box", property(whole_plane_box))
+            for threaded in (False, True):
+                monkeypatch.setattr(metrics, "_THREAD_PIXELS", 0 if threaded else math.inf)
+                prepared = PreparedReference(reference)
+                got[box, threaded] = [bits(compute_all(edges, prepared)) for _, _, edges in cells]
+        assert got["crop", False] == got["crop", True] == got["whole_plane", False] == got["whole_plane", True]
+
+    def test_nan_counts_as_nonzero(self):
+        b = coastline((40, 40), (5, 30))
+        b[30, 4] = np.nan
+        rows, cols, _ = PreparedReference(b).box
+        assert (rows, cols) == (slice(0, 40), slice(0, 40))
+
+
 def record(image_id, psnr_value):
     return MetricRecord(
         image_id=image_id,

@@ -229,6 +229,48 @@ class TestWindowSums:
             assert got.shape == planes + (shape[0] - k + 1, shape[1] - k + 1)
             np.testing.assert_array_equal(got, window_sums_loops(values, np.ones(k)))
 
+    @pytest.mark.parametrize("k", range(2, 18))
+    def test_plane_zero_outside_a_box_sums_as_its_crop(self, rng, k):
+        # a window of zeros sums to +0, and one with a nonzero sample lies in
+        # the box widened by k - 1, where it adds the same taps in the same
+        # order: zeros with the crop's sums at the crop's outputs are the
+        # plane's sums, byte for byte (the reference box in `metrics`)
+        kernels = [np.ones(k), rng.random(k)]
+        if k % 2:
+            kernels.append(gaussian_kernel_1d(k, 1.5))
+        for h, w in ((k, k), (k, k + 3), (k + 6, k + 1), (2 * k + 5, 3 * k)):
+            third_h, third_w = max(h // 3, 1), max(w // 3, 1)
+            boxes = [
+                (slice(0, third_h), slice(0, third_w)),
+                (slice(0, third_h), slice(w - third_w, w)),
+                (slice(h - third_h, h), slice(0, third_w)),
+                (slice(h - third_h, h), slice(w - third_w, w)),
+                (slice(0, 1), slice(0, w)),
+                (slice(h - 1, h), slice(0, w)),
+                (slice(0, h), slice(0, 1)),
+                (slice(0, h), slice(w - 1, w)),
+                (slice(h // 2, h // 2 + 1), slice(w // 2, w // 2 + 1)),
+                (slice(0, h), slice(0, w)),
+            ]
+            for rows, cols in boxes:
+                values = np.zeros((h, w))
+                inside = values[rows, cols]
+                # real values, exact cancellations and signed zeros inside the box
+                inside[...] = np.where(
+                    rng.random(inside.shape) < 0.5,
+                    rng.normal(size=inside.shape) * 100.0,
+                    rng.integers(-2, 3, size=inside.shape),
+                )
+                inside[rng.random(inside.shape) < 0.2] = -0.0
+                crop_rows = slice(max(rows.start - k + 1, 0), min(rows.stop + k - 1, h))
+                crop_cols = slice(max(cols.start - k + 1, 0), min(cols.stop + k - 1, w))
+                for kernel in kernels:
+                    want = np.zeros((h - k + 1, w - k + 1))
+                    want[crop_rows.start : crop_rows.stop - k + 1, crop_cols.start : crop_cols.stop - k + 1] = (
+                        window_sums(values[crop_rows, crop_cols], kernel)
+                    )
+                    assert window_sums(values, kernel).tobytes() == want.tobytes(), (h, w, rows, cols)
+
     @pytest.mark.parametrize("planes", [(), (3,)], ids=["2d", "3"])
     @pytest.mark.parametrize("excess", [1, 2, 4])
     def test_window_longer_than_the_plane_is_refused(self, rng, planes, excess):
