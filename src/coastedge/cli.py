@@ -18,7 +18,7 @@ import numpy as np
 
 from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
 from .errors import CoastEdgeError, CorpusError, IoError, ShapeError
-from .metrics import MetricParams, PreparedReference, compute_all
+from .metrics import METRIC_NAMES, MetricParams, PreparedReference, compute_all
 from .preprocess import NOISE_REDUCTIONS, PreprocessSpec, run_pipeline
 from .raster import BandName, read_band, read_label, write_npy, write_pgm
 from .threads import run_beside
@@ -190,17 +190,15 @@ def cmd_detect(args) -> int:
         raise ShapeError(f"{args.label}: label shape {label.values.shape} != band shape {samples.shape}")
 
     def prepared_reference() -> PreparedReference:
-        reference = PreparedReference(derive_reference(label, canny_params), metric_params)
-        reference.window_stats  # built on this thread too; a window fault is raised after the band's
-        return reference
+        return PreparedReference(derive_reference(label, canny_params), metric_params)
 
     # The reference needs the label alone, so it is built on the second core
     # while this thread preprocesses, detects and writes the band. Errors show
     # in the serial order: the band's, then the output file's, then the
-    # reference's.
+    # reference's, then a window's (raised by compute_all).
     edges, reference = run_beside(prepared_reference, band_edges)
     values = compute_all(edges, reference)
-    print(",".join(repr(values[m]) for m in ("rmse", "psnr", "ssim", "uqi")))
+    print(",".join(repr(values[m]) for m in METRIC_NAMES))
     return EXIT_OK
 
 

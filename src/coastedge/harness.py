@@ -5,8 +5,10 @@ the full band x algorithm results table, the histogram-equalization
 ablation and the noise-reduction ablation. Scenes come from
 `raster.load_scene` and their reference edges from
 `edgedetect.derive_reference`. Each cell is scored by `run_cell` from its
-record key and the scene's prepared reference; only a `CoastEdgeError`
-becomes an error record, anything else is a bug and propagates. Several
+record key and the scene's prepared reference. A scene that fails to load
+gives its `CoastEdgeError` in every cell's record; past that, only a chip
+too small for a kernel (`KernelTooLarge`) or a window (`WindowError`) gives
+an error record, and anything else is a bug and propagates. Several
 experiments run in one pass over the corpus (`evaluate --experiment all`):
 each scene is loaded and its reference prepared once, and a cell that
 several grids share is scored once. Only `evaluate` and `report` import
@@ -29,7 +31,7 @@ import numpy as np
 
 from . import __version__
 from .edgedetect import ALGORITHMS, CannyParams, derive_reference, detect
-from .errors import CoastEdgeError, CorpusError, IoError, ParamError
+from .errors import CoastEdgeError, CorpusError, IoError, KernelTooLarge, ParamError, WindowError
 from .metrics import METRIC_NAMES, MetricParams, MetricRecord, PreparedReference, compute_all
 from .preprocess import PreprocessSpec, run_pipeline
 from .raster import BandName, load_manifest, load_scene, read_file, write_file
@@ -127,12 +129,12 @@ def run_cell(key: tuple, reference: PreparedReference, edges: np.ndarray) -> Met
     `key` is the record's first four fields (image id, band name, algorithm,
     preprocessing tag), `edges` the 2D edge map detected for the cell and
     `reference` the scene's prepared reference edges, scored with its own
-    `params`. A data or parameter fault comes back as a record with the
-    error field set, so one bad cell cannot abort a corpus run.
+    `params`. A chip smaller than a window gives a record with the error
+    field set, so it cannot abort a corpus run; any other fault is a bug.
     """
     try:
         values = compute_all(edges, reference)
-    except CoastEdgeError as exc:
+    except WindowError as exc:
         return _error_record(key, exc)
     return MetricRecord(*key, **values)
 
@@ -184,13 +186,13 @@ def _scene_records(entry: dict, specs: list[ExperimentSpec]) -> list[MetricRecor
         for variant, algorithms in runs.items():
             try:
                 processed = run_pipeline(scene.stack[start : start + per_chunk], variant)
-            except CoastEdgeError as exc:
+            except KernelTooLarge as exc:
                 records += [_error_record((scene.id, b, a, variant.tag), exc) for b in chunk for a in algorithms]
                 continue
             for algorithm in algorithms:
                 try:
                     edges = detect(processed, algorithm, spec.canny_params)
-                except CoastEdgeError as exc:
+                except KernelTooLarge as exc:
                     records += [_error_record((scene.id, b, algorithm, variant.tag), exc) for b in chunk]
                     continue
                 for band, plane in zip(chunk, edges):

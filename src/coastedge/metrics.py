@@ -35,10 +35,9 @@ overlap. On a shared 2-vCPU host, serial against threaded took 0.6 / 1.4 ms
 a cell at 64², 1.5-1.7 / 1.6-2.0 ms at 128², 2.1-2.2 / 2.2-2.3 ms at 144²,
 2.4-2.6 / 2.4 ms at 160² and 5.8-6.0 / 4.6 ms at 256² (2026-10-21, medians
 of 60 interleaved rounds, two runs), so smaller planes stay serial.
-`PreparedReference.window_stats` builds its `box`, then both reference
-statistics, SSIM's before UQI's: a window fault shows as in the serial
-order, and the threads only read them (`cached_property` takes no lock from
-Python 3.12). `detect --label` builds them on its reference thread.
+`PreparedReference` builds its `box` and both reference statistics when it
+is made, and the threads only read them. `detect --label` makes it on its
+reference thread.
 
 Neither thread writes what the other reads, so the bits are the serial
 ones. Each metric builds its index in place, in buffers it already holds:
@@ -52,8 +51,7 @@ each product of the candidate once its last sum is taken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -109,77 +107,72 @@ def _check_window(shape: tuple, window: int, metric: str) -> None:
         raise WindowError(f"image {shape} smaller than {metric} window {window}")
 
 
+def _coastline_box(b: np.ndarray, params: MetricParams) -> tuple:
+    """(rows, cols, transposed): the crop of plane `b` that holds every window with a
+    nonzero sample, and the crop's C-ordered float64 transpose.
+
+    The crop is the bounding box of the nonzero samples (a NaN counts as one),
+    widened on each side by the larger window less one and clamped to the
+    plane, so it is at least as long as either window wherever that window
+    fits the plane. A blank plane takes the box of its first sample, whose
+    sums are the +0 of every other window (see above).
+    """
+    nonzero = b != 0
+    rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
+    if rows.size == 0:
+        rows = cols = [0]
+    margin = max(params.ssim_window, params.uqi_window) - 1
+    height, width = b.shape
+    rows = slice(max(int(rows[0]) - margin, 0), min(int(rows[-1]) + 1 + margin, height))
+    cols = slice(max(int(cols[0]) - margin, 0), min(int(cols[-1]) + 1 + margin, width))
+    return rows, cols, np.ascontiguousarray(b[rows, cols].T)
+
+
 @dataclass(frozen=True, eq=False)
 class PreparedReference:
     """A reference image with its window statistics, computed once for many candidates.
 
-    The statistics are built on first use and then kept, so scoring every
-    edge map of a scene against one PreparedReference does the
-    reference-only work once. They stay lazy so that a window fault belongs
-    to each cell and comes after its own faults: `evaluate` prepares a
-    scene's reference before any band, and a cell's preprocessing and
-    detection run before it is scored, so a band fault wins over a window
-    fault there, as it does in `detect --label`.
+    All of it is built when it is made and only read after, by any thread.
+    `box` is `_coastline_box`'s. When both windows fit the plane, `ssim_stats`
+    holds SSIM's Gaussian weights, mu_b, mu_b**2 and var_b per window, and
+    `uqi_stats` UQI's sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2;
+    else both are None, and `compute_all` raises the window fault per cell,
+    after the cell's own faults (`evaluate` prepares it before any band).
     """
 
     values: np.ndarray  # 2D float64
     params: MetricParams = MetricParams()
+    box: tuple = field(init=False, repr=False)
+    ssim_stats: tuple | None = field(init=False, repr=False, default=None)
+    uqi_stats: tuple | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-
-    @cached_property
-    def box(self) -> tuple | None:
-        """(rows, cols, transposed): the crop of the plane that holds every window
-        with a nonzero sample, and the crop's C-ordered float64 transpose.
-
-        The crop is the bounding box of the nonzero samples (a NaN counts as
-        one), widened on each side by the larger window less one and clamped
-        to the plane, so it is at least as long as either window wherever
-        that window fits the plane. None when every sample is zero.
-        """
-        b = self.values
-        nonzero = b != 0
-        rows, cols = np.flatnonzero(nonzero.any(axis=1)), np.flatnonzero(nonzero.any(axis=0))
-        if rows.size == 0:
-            return None
-        margin = max(self.params.ssim_window, self.params.uqi_window) - 1
-        height, width = b.shape
-        rows = slice(max(int(rows[0]) - margin, 0), min(int(rows[-1]) + 1 + margin, height))
-        cols = slice(max(int(cols[0]) - margin, 0), min(int(cols[-1]) + 1 + margin, width))
-        return rows, cols, np.ascontiguousarray(b[rows, cols].T)
-
-    @cached_property
-    def window_stats(self) -> tuple:
-        """SSIM's Gaussian weights, then mu_b, mu_b**2 and var_b per window; then UQI's
-        sum(b), mu_b, mu_b**2, var_b and n*sum(b*b) - sum(b)**2 per window."""
-        b, params = self.values, self.params
-        _check_window(b.shape, params.ssim_window, "SSIM")
-        box = self.box
-        bt = None if box is None else box[2]
-        bbt = None if box is None else bt * bt
+        b, params = np.asarray(self.values, dtype=np.float64), self.params
+        object.__setattr__(self, "values", b)
+        object.__setattr__(self, "box", _coastline_box(b, params))
+        if min(b.shape) < max(params.ssim_window, params.uqi_window):
+            return
+        bt = self.box[2]
+        bbt = bt * bt
         weights = gaussian_kernel_1d(params.ssim_window, params.ssim_sigma)
         mu = _box_window_sums(bt, weights, self)
         mu_sq = mu**2
-        ssim_stats = weights, mu, mu_sq, _box_window_sums(bbt, weights, self) - mu_sq
+        object.__setattr__(self, "ssim_stats", (weights, mu, mu_sq, _box_window_sums(bbt, weights, self) - mu_sq))
 
         win = params.uqi_window
-        _check_window(b.shape, win, "UQI")
         n, ones = win * win, np.ones(win)
         total, total_sq = _box_window_sums(bt, ones, self), _box_window_sums(bbt, ones, self)
         mu = total / n
         mu_sq = mu**2
-        return ssim_stats, (total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total)
+        object.__setattr__(self, "uqi_stats", (total, mu, mu_sq, total_sq / n - mu_sq, n * total_sq - total * total))
 
 
-def _box_window_sums(transposed, kernel: np.ndarray, ref: PreparedReference) -> np.ndarray:
+def _box_window_sums(transposed: np.ndarray, kernel: np.ndarray, ref: PreparedReference) -> np.ndarray:
     """`window_sums` of a plane that is 0 outside `ref.box`, from the crop's C-ordered
-    transpose (None when there is no box), with the whole plane's bits (see above)."""
+    transpose, with the whole plane's bits (see above)."""
     k = len(kernel)
     height, width = ref.values.shape
     shape = (height - k + 1, width - k + 1)
-    if transposed is None:
-        return np.zeros(shape)
     sums = transposed_window_sums(transposed, kernel)
     if sums.shape == shape:
         return sums
@@ -192,9 +185,8 @@ def _box_window_sums(transposed, kernel: np.ndarray, ref: PreparedReference) -> 
 def _transposed_products(a: np.ndarray, ref: PreparedReference) -> list:
     """a, a*a and a*b as C-ordered float64 transposes; a*b on `ref.box`'s crop only."""
     at = np.array(a.swapaxes(-1, -2), dtype=np.float64, order="C")
-    box = ref.box
-    abt = None if box is None else at[box[1], box[0]] * box[2]
-    return [at, at * at, abt]
+    rows, cols, bt = ref.box
+    return [at, at * at, at[cols, rows] * bt]
 
 
 # Each metric pops a product from its own list as it sums it, so a product is
@@ -203,7 +195,7 @@ def _transposed_products(a: np.ndarray, ref: PreparedReference) -> list:
 
 
 def _ssim(products: list, ref: PreparedReference) -> float:
-    weights, mu_b, mu_b_sq, var_b = ref.window_stats[0]
+    weights, mu_b, mu_b_sq, var_b = ref.ssim_stats
     mu_a = transposed_window_sums(products.pop(0), weights)
     var_a = transposed_window_sums(products.pop(0), weights)
     var_a -= mu_a**2
@@ -233,7 +225,7 @@ def _ssim(products: list, ref: PreparedReference) -> float:
 
 
 def _uqi(products: list, ref: PreparedReference) -> float:
-    total_b, mu_b, mu_b_sq, var_b, spread_b = ref.window_stats[1]
+    total_b, mu_b, mu_b_sq, var_b, spread_b = ref.uqi_stats
     win = ref.params.uqi_window
     n, ones = win * win, np.ones(win)
     total_a = transposed_window_sums(products.pop(0), ones)
@@ -324,8 +316,9 @@ def compute_all(a, reference: PreparedReference) -> dict:
     a = np.asarray(a)
     if a.shape != reference.values.shape:
         raise ShapeError(f"image shapes differ: {a.shape} vs {reference.values.shape}")
+    _check_window(a.shape, reference.params.ssim_window, "SSIM")
+    _check_window(a.shape, reference.params.uqi_window, "UQI")
     err = _rmse(a, reference.values)
-    reference.window_stats  # built before any thread reads them
     at, aat, abt = _transposed_products(a, reference)
     ssim_products, uqi_products = [at, aat, abt], [at, aat, abt]
     del at, aat, abt

@@ -632,10 +632,10 @@ def water_in_one_corner(shape):
 
 
 # each label with the rows and columns of its 32x32 reference's coastline box:
-# none, one clamped at the last column, and one pixel's (11x11, each side
-# clamped or widened by 10)
+# the first sample's of a blank reference, one clamped at the last column,
+# and one pixel's (11x11, each side clamped or widened by 10)
 LABELS = {
-    "all_water": (water_everywhere, None),
+    "all_water": (water_everywhere, (slice(0, 11), slice(0, 11))),
     "last_column": (water_in_last_column, (slice(0, 32), slice(20, 32))),
     "corner_pixel": (water_in_one_corner, (slice(21, 32), slice(21, 32))),
 }
@@ -665,8 +665,8 @@ def labelled_table1(request, evaluated, tmp_path_factory):
 class TestDetectMatchesEvaluate:
     def test_metrics_line_is_the_table1_record(self, labelled_table1, tmp_path, capsys):
         # `detect --label` and `evaluate` score one cell alike: same reader,
-        # same reference, same digits; also where the reference's coastline
-        # box is empty, clamped at the border or narrower than both windows
+        # same reference, same digits; also where the reference is blank, or
+        # its coastline box clamped at the border or narrower than both windows
         corpus, records = labelled_table1
         with open(records, newline="") as fh:
             rows = list(csv.DictReader(fh))

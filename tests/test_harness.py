@@ -155,8 +155,14 @@ class TestFaultIsolation:
             assert record.error.partition(":")[0] == expected, record
 
     def test_toolkit_bug_propagates(self, small_corpus, monkeypatch):
-        # only a CoastEdgeError is a data fault: numpy's own ValueError is a bug too
-        for bug in (TypeError("a bug, not a data fault"), ValueError("operands could not be broadcast")):
+        # only a chip too small for a kernel or window is a cell's fault: numpy's
+        # own ValueError is a bug too, and so is a ParamError that validated
+        # parameters cannot raise
+        for bug in (
+            TypeError("a bug, not a data fault"),
+            ValueError("operands could not be broadcast"),
+            ParamError("unknown algorithm 'canny'"),
+        ):
 
             def broken_detect(band, algorithm, params):
                 raise bug

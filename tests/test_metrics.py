@@ -463,6 +463,18 @@ class TestTwoThreads:
         assert [got.get(i) for i in range(len(cells))] == expected
         assert len(beside_calls) == len(cells)
 
+    def test_reference_is_complete_when_made(self, scene256_cells, beside_calls, serial):
+        # scoring adds nothing to a reference and replaces nothing in it
+        cells, reference = scene256_cells
+        cells = cells[:3]
+        prepared = PreparedReference(reference)
+        made = dict(vars(prepared))
+        for _, _, edges in cells:
+            assert bits(compute_all(edges, prepared)) == bits(serial(edges, reference))
+        assert len(beside_calls) == len(cells)
+        assert vars(prepared).keys() == made.keys()
+        assert all(vars(prepared)[name] is value for name, value in made.items())
+
     def test_ssim_window_fault_wins(self, beside_calls):
         params = MetricParams(ssim_window=257, uqi_window=257)
         with pytest.raises(WindowError, match="SSIM window 257"):
@@ -493,9 +505,9 @@ class TestTwoThreads:
         assert len(beside_calls) == 1
 
 
-def whole_plane_box(self):
-    """`PreparedReference.box` as the whole plane: every sum with b as a factor taken on all of it."""
-    return slice(0, self.values.shape[0]), slice(0, self.values.shape[1]), np.ascontiguousarray(self.values.T)
+def whole_plane_box(b, params):
+    """`metrics._coastline_box` as the whole plane: every sum with b as a factor taken on all of it."""
+    return slice(0, b.shape[0]), slice(0, b.shape[1]), np.ascontiguousarray(b.T)
 
 
 def coastline(shape, where) -> np.ndarray:
@@ -538,16 +550,15 @@ class TestReferenceBox:
             rng.integers(0, 256, b.shape).astype(np.uint8),
             b.astype(np.uint8),
         ]
-        box = PreparedReference(b, params).box
+        rows, cols, _ = PreparedReference(b, params).box
+        margin = max(params.ssim_window, params.uqi_window) - 1
         if not b.any():
-            assert box is None
+            assert (rows, cols) == (slice(0, margin + 1), slice(0, margin + 1))
         else:
-            margin = max(params.ssim_window, params.uqi_window) - 1
-            rows, cols, _ = box
             assert (rows.stop - rows.start, cols.stop - cols.start) != b.shape or where is BOX_REFERENCES["full_plane"]
             assert min(rows.stop - rows.start, cols.stop - cols.start) >= margin + 1
         got = [bits(compute_all(a, PreparedReference(b, params))) for a in candidates]
-        monkeypatch.setattr(PreparedReference, "box", property(whole_plane_box))
+        monkeypatch.setattr(metrics, "_coastline_box", whole_plane_box)
         assert got == [bits(compute_all(a, PreparedReference(b, params))) for a in candidates]
 
     def test_scene_cells(self, scene256_cells, monkeypatch):
@@ -557,7 +568,7 @@ class TestReferenceBox:
         got = {}
         for box in ("crop", "whole_plane"):
             if box == "whole_plane":
-                monkeypatch.setattr(PreparedReference, "box", property(whole_plane_box))
+                monkeypatch.setattr(metrics, "_coastline_box", whole_plane_box)
             for threaded in (False, True):
                 monkeypatch.setattr(metrics, "_THREAD_PIXELS", 0 if threaded else math.inf)
                 prepared = PreparedReference(reference)
